@@ -153,9 +153,26 @@ def coefficients(
     p: ModelParams, g: GridSpec, xf_next: float, xf_curr: float
 ) -> SchemeCoefficients:
     """Per-step operator triple (A, B, C) for the boundary pair (xf_next, xf_curr)."""
+    return _operator_triple(p, g, _time_weight(p, g), xf_next, xf_curr)
+
+
+def _row_coefficients(
+    p: ModelParams, g: GridSpec, xf_next: float, xf_curr: float
+) -> SchemeCoefficients:
+    """The triple divided by rho, as the stepper's rows use it (weight q_eff).
+
+    Built from q_eff directly: q and 1/rho overflow as alpha -> 1 while
+    their product stays near dtau*alpha.
+    """
+    return _operator_triple(p, g, _effective_weight(p, g), xf_next, xf_curr)
+
+
+def _operator_triple(
+    p: ModelParams, g: GridSpec, q: float, xf_next: float, xf_curr: float
+) -> SchemeCoefficients:
+    """The triple (A, B, C) for time weight q."""
     if xf_curr == 0.0:
         raise ValidationError(["xf_curr must be nonzero"])
-    q = _time_weight(p, g)
     sig2 = p.sigma * p.sigma
     theta = q * sig2 / (4.0 * g.dy * g.dy)
     beta = q * (p.r - sig2 / 2.0) / (4.0 * g.dy)
@@ -174,20 +191,17 @@ def assemble_step(
     v0_next: float,
 ) -> TridiagonalSystem:
     """Interior rows m = 1..M-1 for the unknown level, boundary values moved
-    to the right-hand side (v[0] = v0_next, v[M] = 0)."""
+    to the right-hand side (v[0] = v0_next, v[M] = 0).
+
+    coeffs is the row triple, already divided by rho (see _row_coefficients);
+    w selects whether the fractional history enters the right-hand side.
+    """
     v = state.v_curr
     m_count = v.size - 2
     if m_count < 1:
         raise ValidationError(["grid must have interior nodes"])
-    if isinstance(w, CFWeights):
-        eta = 1.0 / w.decay
-        hist = state.acc.sums[1:-1]
-    else:
-        eta = 1.0
-        hist = 0.0
-    a = eta * coeffs.upper
-    b = eta * coeffs.diag
-    c = eta * coeffs.lower
+    hist = state.acc.sums[1:-1] if isinstance(w, CFWeights) else 0.0
+    a, b, c = coeffs.upper, coeffs.diag, coeffs.lower
     rhs = hist - v[1:-1] - (a * v[2:] + b * v[1:-1] + c * v[:-2])
     rhs = np.asarray(rhs, dtype=float).copy()
     rhs[0] -= c * v0_next
@@ -299,7 +313,7 @@ def _solve_candidate(
     w: StepWeights,
     x: float,
 ) -> np.ndarray:
-    coeffs = coefficients(p, g, x, state.xf_curr)
+    coeffs = _row_coefficients(p, g, x, state.xf_curr)
     sys = assemble_step(state, coeffs, w, v0_next=1.0 - x)
     interior = solve_tridiagonal(sys)
     u = np.empty(g.M + 1)
@@ -421,21 +435,24 @@ def run_solver(
     g = build_grid(p, M, mu, Y)
     w = cf_weights(p.alpha, g.dtau)
     state = initial_state(p, g, w)
-    v_levels = [state.v_curr.copy()]
+    # each level is written into place, so the march never holds the surface
+    # twice (a list of level copies stacked at the end peaks at double)
+    v_levels = np.empty((g.N + 1, g.M + 1))
+    v_levels[0] = state.v_curr
     xf_path = [state.xf_curr]
     iterations: list[int] = []
     residuals: list[float] = []
     warned_steps: list[int] = []
-    for _ in range(g.N):
+    for n in range(1, g.N + 1):
         state = time_step(state, p, g, w, opts)
         assert state.stats is not None
-        v_levels.append(state.v_curr.copy())
+        v_levels[n] = state.v_curr
         xf_path.append(state.xf_curr)
         iterations.append(state.stats.iterations)
         residuals.append(state.stats.closure_residual)
         if state.stats.denominator_warning:
             warned_steps.append(state.n - 1)
-    surface = SolutionSurface(v=np.array(v_levels), xf=np.array(xf_path))
+    surface = SolutionSurface(v=v_levels, xf=np.array(xf_path))
     return SolverRun(
         surface=surface,
         params=p,

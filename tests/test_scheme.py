@@ -7,10 +7,12 @@ import pytest
 import sympy as sp
 
 from fronfix.cfkernel import cf_weights
-from fronfix.errors import DenominatorNearZeroError, ValidationError
+from fronfix.errors import DenominatorNearZeroError, FronfixError, ValidationError
 from fronfix.model import ModelParams, build_grid
 from fronfix.scheme import (
     FixedPointOptions,
+    SchemeCoefficients,
+    _row_coefficients,
     assemble_step,
     boundary_node_update,
     coefficients,
@@ -27,6 +29,12 @@ def make_setup(p, M=10, mu=2.0, Y=1.0):
     g = build_grid(p, M, mu, Y)
     w = cf_weights(p.alpha, g.dtau)
     return g, w
+
+
+def row_triple(c, w):
+    """The q-scaled triple divided by rho: the rows assemble_step takes."""
+    eta = 1.0 / w.decay
+    return SchemeCoefficients(upper=eta * c.upper, diag=eta * c.diag, lower=eta * c.lower)
 
 
 class TestCoefficients:
@@ -95,6 +103,26 @@ class TestCoefficients:
         with pytest.raises(ValidationError):
             coefficients(base_params, g, 1.0, 0.0)
 
+    def test_row_triple_is_triple_over_decay(self, fractional_params):
+        p = fractional_params
+        g, w = make_setup(p, M=100, mu=20.0, Y=4.0)
+        for xf_n, xf_c in ((0.93, 0.97), (1.0, 1.0), (0.5, 0.45)):
+            expected = row_triple(coefficients(p, g, xf_n, xf_c), w)
+            rows = _row_coefficients(p, g, xf_n, xf_c)
+            assert rows.upper == pytest.approx(expected.upper, rel=1e-14)
+            assert rows.diag == pytest.approx(expected.diag, rel=1e-14)
+            assert rows.lower == pytest.approx(expected.lower, rel=1e-14)
+
+    def test_row_triple_stays_finite_as_alpha_nears_one(self, base_params):
+        # q and 1/rho overflow here; the row weight tends to dtau*alpha
+        p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=1.0, alpha=0.999999)
+        g, _ = make_setup(p, M=50, mu=10.0, Y=4.0)
+        rows = _row_coefficients(p, g, 0.9, 1.0)
+        classical = coefficients(base_params, g, 0.9, 1.0)
+        assert rows.upper == pytest.approx(classical.upper, rel=2e-6)
+        assert rows.diag == pytest.approx(classical.diag, rel=2e-6)
+        assert rows.lower == pytest.approx(classical.lower, rel=2e-6)
+
 
 class TestAssemble:
     def test_first_step_rhs_structure(self, fractional_params):
@@ -104,12 +132,12 @@ class TestAssemble:
         state = initial_state(p, g, w)
         xf_next = 1.0
         c = coefficients(p, g, xf_next, 1.0)
-        sys = assemble_step(state, c, w, v0_next=1.0 - xf_next)
+        sys = assemble_step(state, row_triple(c, w), w, v0_next=1.0 - xf_next)
         assert np.all(sys.rhs == 0.0)
 
         xf_next = 0.9
         c = coefficients(p, g, xf_next, 1.0)
-        sys = assemble_step(state, c, w, v0_next=1.0 - xf_next)
+        sys = assemble_step(state, row_triple(c, w), w, v0_next=1.0 - xf_next)
         scaled_lower = c.lower / w.decay
         assert sys.rhs[0] == pytest.approx(-scaled_lower * (1.0 - xf_next), rel=1e-14)
         assert np.all(sys.rhs[1:] == 0.0)
@@ -124,7 +152,7 @@ class TestAssemble:
         xf_c = state.xf_curr
         xf_n = 0.97 * xf_c
         c = coefficients(p, g, xf_n, xf_c)
-        sys = assemble_step(state, c, w, v0_next=1.0 - xf_n)
+        sys = assemble_step(state, row_triple(c, w), w, v0_next=1.0 - xf_n)
 
         eta = 1.0 / w.decay
         a_h, b_h, c_h = eta * c.upper, eta * c.diag, eta * c.lower
@@ -407,6 +435,25 @@ class TestRunSolver:
         s = run.surface
         assert np.all(s.v[:, 0] == 1.0 - s.xf)
         assert np.all(s.v[:, -1] == 0.0)
+
+    def test_alpha_near_one_raises_only_typed_errors(self):
+        # expm1 overflows and rho underflows to zero at this alpha and step
+        p = ModelParams(0.1, 0.2, 1, 1, alpha=0.999999)
+        try:
+            run = run_solver(p, 50, 10.0, 4.0)
+        except FronfixError:
+            return
+        assert np.all(np.isfinite(run.surface.v))
+
+    def test_surface_levels_are_the_marched_states(self, fractional_params):
+        p = fractional_params
+        run = run_solver(p, 20, 10.0, 2.0)
+        g, w = run.grid, cf_weights(p.alpha, run.grid.dtau)
+        state = initial_state(p, g, w)
+        for n in range(1, 4):
+            state = time_step(state, p, g, w)
+            assert np.array_equal(run.surface.v[n], state.v_curr)
+        assert run.surface.v.shape == (g.N + 1, g.M + 1)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValidationError):
