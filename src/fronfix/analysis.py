@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ValidationError
 from .model import GridSpec, ModelParams, SolutionSurface
 from .parallel import map_ordered
-from .scheme import coefficients, price_at, run_solver
+from .scheme import _row_coefficients, price_at, run_solver
 
 __all__ = [
     "Lemma1Report",
@@ -74,7 +74,9 @@ def lemma1_check(
         pairs = list(zip(xf_path[1:], xf_path[:-1]))
     signs = np.empty((len(pairs), 3), dtype=int)
     for i, (xf_next, xf_curr) in enumerate(pairs):
-        c = coefficients(p, g, xf_next, xf_curr)
+        # the stepper's rows are the triple divided by rho > 0: the same signs,
+        # and finite where the q-scaled triple overflows (alpha near 1)
+        c = _row_coefficients(p, g, xf_next, xf_curr)
         signs[i] = (np.sign(c.upper), np.sign(c.diag), np.sign(c.lower))
     return Lemma1Report(cond_conv, cond_dt, signs)
 

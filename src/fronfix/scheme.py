@@ -35,6 +35,27 @@ Each time step solves the nonlinear pair (interior tridiagonal solve,
 free-boundary scalar root) by a safeguarded secant iteration on the pole-free
 residual R(x) = Omega1(x) - x*Omega2(x), with a bisection fallback once a sign
 change is bracketed. Failures surface as typed errors carrying the step index.
+
+Truncated sweep. The update reads a candidate level only at nodes 0 and 2, so
+the iteration gets u[2] from the leading rows alone and only the converged
+boundary gets a full solve. With the step's constants fixed, a candidate x
+changes the rows only through k = beta + drift(x) (A = theta + k,
+C = theta - k): the right-hand side is F0 - k*dv, with
+F0 = S - v - (B v + theta (v[m+1] + v[m-1])) and dv = v[m+1] - v[m-1]
+computed once per step, and the first row also gets -C*(1 - x).
+
+When the rows are strictly dominant, margin = |B - 1| - |A| - |C| > 0,
+Varah's bound gives |x|_inf <= |f|_inf/margin and every Thomas factor obeys
+|cp_i| <= |A|/(|B - 1| - |C|) < 1. Stopping the forward sweep at row K and
+back-substituting from x[K] = dp[K] then moves u[2] by at most
+prod_{1 <= i <= K} |cp_i| * |f|_inf/margin. The sweep stops at the first K
+where prod |cp_i| <= u*min(1, margin/|f|_inf), u = 2^-53 the unit roundoff,
+so the neglected part stays under u*min(|f|_inf/margin, 1): half an ulp of
+the largest value the level can take. The inverse decays geometrically away
+from the diagonal (Demko, Moss & Smith, Math. Comp. 43, 1984), so K is a few
+dozen rows at M = 800, and the bound on |cp_i| caps it before the sweep
+starts. A candidate whose rows are not strictly dominant, or for which no row
+before the last certifies, takes the full solve instead.
 """
 
 from __future__ import annotations
@@ -65,7 +86,7 @@ from .model import (
     build_grid,
     ensure_valid_params,
 )
-from .tridiag import TridiagonalSystem, solve_tridiagonal
+from .tridiag import _PIVOT_FLOOR, TridiagonalSystem, solve_tridiagonal
 
 __all__ = [
     "SchemeCoefficients",
@@ -85,6 +106,7 @@ __all__ = [
 
 _DENOM_FLOOR = 1e-12
 _DENOM_WARN = 1e-6
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -119,7 +141,6 @@ class StepState:
     v_curr: np.ndarray
     xf_curr: float
     acc: HistoryAccumulator
-    xf_acc: HistoryAccumulator
     n: int
     stats: StepStats | None = None
 
@@ -237,6 +258,115 @@ def boundary_node_update(
     return g0 + g1 * xf_next
 
 
+class _StepConstants:
+    """What the candidates of one time step share.
+
+    The row constants, the closure line and the candidate-free parts F0 and dv
+    of the right-hand side (see the module docstring) are computed once per
+    step, so a candidate costs a short scalar sweep.
+    """
+
+    __slots__ = (
+        "state", "p", "g", "w", "qe", "theta", "beta", "omega", "b_diag",
+        "g0", "g1", "den", "hist1", "v0", "v1", "v2", "f0", "dv", "f0_max", "dv_max",
+    )
+
+    def __init__(self, state: StepState, p: ModelParams, g: GridSpec, w: StepWeights):
+        self.state, self.p, self.g, self.w = state, p, g, w
+        v = state.v_curr
+        qe = _effective_weight(p, g)
+        sig2 = p.sigma * p.sigma
+        self.qe = qe
+        self.theta = qe * sig2 / (4.0 * g.dy * g.dy)
+        self.beta = qe * (p.r - sig2 / 2.0) / (4.0 * g.dy)
+        # drift(x) = qe*(x - xf_curr)/den, as _operator_triple evaluates it
+        self.den = 4.0 * g.dy * g.dtau * state.xf_curr
+        self.omega = qe / self.den
+        self.b_diag = -(qe / 2.0) * (sig2 / (g.dy * g.dy) + p.r)
+        self.g0, self.g1 = _closure_line(p, g)
+        cf = isinstance(w, CFWeights)
+        self.hist1 = float(state.acc.sums[1]) if cf else 0.0
+        self.v0, self.v1, self.v2 = v[:3].tolist()
+        hist = state.acc.sums[1:-1] if cf else 0.0
+        self.f0 = hist - v[1:-1] - (self.b_diag * v[1:-1] + self.theta * (v[2:] + v[:-2]))
+        self.dv = v[2:] - v[:-2]
+        self.f0_max = float(np.abs(self.f0).max())
+        self.dv_max = float(np.abs(self.dv).max())
+
+    def omega_parts(self, u0: float, u2: float) -> tuple[float, float, float]:
+        """Numerator, denominator, and denominator scale of the boundary update
+        for a candidate level with u[0] = u0 and u[2] = u2."""
+        theta, beta, omega, b_diag = self.theta, self.beta, self.omega, self.b_diag
+        up_pair = u2 + self.v2
+        low_pair = u0 + self.v0
+        diff = up_pair - low_pair
+        total = up_pair + low_pair
+        omega2 = omega * diff + (b_diag - 1.0) * self.g1
+        omega1 = (
+            self.hist1
+            - theta * total
+            - beta * diff
+            + omega * self.state.xf_curr * diff
+            - (b_diag - 1.0) * self.g0
+            - (b_diag + 1.0) * self.v1
+        )
+        scale = max(1.0, abs(omega * diff), abs((b_diag - 1.0) * self.g1))
+        return omega1, omega2, scale
+
+    def truncated_node2(self, x: float) -> float | None:
+        """u[2] of candidate x from the leading rows of the Thomas sweep.
+
+        None when the rows are not strictly dominant or no row before the
+        last certifies the truncation.
+        """
+        drift = self.qe * (x - self.state.xf_curr) / self.den
+        k = self.beta + drift
+        # the bands as _operator_triple rounds them
+        a = self.theta + self.beta + drift
+        c = self.theta - self.beta - drift
+        d = self.b_diag - 1.0
+        margin = abs(d) - abs(a) - abs(c)
+        n = self.f0.size
+        # every pivot is at least |d| - |c| >= margin in size, so the full
+        # solve could raise no pivot error on these rows
+        if not margin > _PIVOT_FLOOR or n < 3:
+            return None
+        f_bound = self.f0_max + abs(k) * self.dv_max + abs(c * (1.0 - x))
+        limit = _UNIT_ROUNDOFF * margin / max(f_bound, margin)
+        # every |cp_i| is at most rate < 1, so rate^K <= limit certifies by
+        # row K; one spare row absorbs the rounding of the running product
+        rate = abs(a) / (abs(d) - abs(c))
+        rows = n - 1
+        if rate > 0.0:
+            rows = min(rows, math.ceil(math.log(limit) / math.log(rate)) + 2)
+        f = (self.f0[:rows] - k * self.dv[:rows]).tolist()
+        cp = a / d
+        dp = (f[0] - c * (1.0 - x)) / d
+        cps = [cp]
+        dps = [dp]
+        shrink = 1.0  # prod cp_i over rows 1..i
+        for i in range(1, rows):
+            piv = d - c * cp
+            cp = a / piv
+            dp = (f[i] - c * dp) / piv
+            shrink *= cp
+            if -limit <= shrink <= limit:
+                xi = dp
+                for j in range(i - 1, 0, -1):
+                    xi = dps[j] - cps[j] * xi
+                return xi
+            cps.append(cp)
+            dps.append(dp)
+        return None
+
+    def node2(self, x: float) -> float:
+        """u[2] of candidate x: the truncated sweep, else the full solve."""
+        u2 = self.truncated_node2(x)
+        if u2 is None:
+            u2 = float(_solve_candidate(self.state, self.p, self.g, self.w, x)[2])
+        return u2
+
+
 def _omega_parts(
     state: StepState,
     v_next_iterate: np.ndarray,
@@ -248,32 +378,7 @@ def _omega_parts(
     u = np.asarray(v_next_iterate, dtype=float)
     if u.size != state.v_curr.size:
         raise ValidationError(["iterate length must match the grid"])
-    v = state.v_curr
-    qe = _effective_weight(p, g)
-    sig2 = p.sigma * p.sigma
-    theta = qe * sig2 / (4.0 * g.dy * g.dy)
-    beta = qe * (p.r - sig2 / 2.0) / (4.0 * g.dy)
-    omega = qe / (4.0 * g.dy * g.dtau * state.xf_curr)
-    b_diag = -(qe / 2.0) * (sig2 / (g.dy * g.dy) + p.r)
-    g0, g1 = _closure_line(p, g)
-
-    up_pair = u[2] + v[2]
-    low_pair = u[0] + v[0]
-    diff = up_pair - low_pair
-    total = up_pair + low_pair
-    hist1 = state.acc.sums[1] if isinstance(w, CFWeights) else 0.0
-
-    omega2 = omega * diff + (b_diag - 1.0) * g1
-    omega1 = (
-        hist1
-        - theta * total
-        - beta * diff
-        + omega * state.xf_curr * diff
-        - (b_diag - 1.0) * g0
-        - (b_diag + 1.0) * v[1]
-    )
-    scale = max(1.0, abs(omega * diff), abs((b_diag - 1.0) * g1))
-    return omega1, omega2, scale
+    return _StepConstants(state, p, g, w).omega_parts(u[0], u[2])
 
 
 def free_boundary_update(
@@ -301,7 +406,6 @@ def initial_state(p: ModelParams, g: GridSpec, w: StepWeights) -> StepState:
         v_curr=np.zeros(g.M + 1),
         xf_curr=1.0,
         acc=empty_history(g.M + 1, w),
-        xf_acc=empty_history(1, w),
         n=0,
     )
 
@@ -334,9 +438,11 @@ def time_step(
 
     The scalar iterate starts at the current boundary, takes one plain
     fixed-point step, then secant steps on R(x) = Omega1 - x*Omega2 with a
-    bisection safeguard once a sign change is bracketed.
+    bisection safeguard once a sign change is bracketed. Each iterate reads
+    u[2] from a truncated sweep; only the converged boundary gets a full solve.
     """
     opts = opts or FixedPointOptions()
+    step = _StepConstants(state, p, g, w)
     x = state.xf_curr
     x_prev: float | None = None
     r_prev = 0.0
@@ -348,8 +454,7 @@ def time_step(
     iterations = 0
 
     for k in range(opts.max_iter):
-        u = _solve_candidate(state, p, g, w, x)
-        omega1, omega2, scale = _omega_parts(state, u, p, g, w)
+        omega1, omega2, scale = step.omega_parts(1.0 - x, step.node2(x))
         if abs(omega2) < _DENOM_FLOOR * scale:
             raise DenominatorNearZeroError(state.n, omega2, scale)
         if abs(omega2) < _DENOM_WARN * scale:
@@ -392,9 +497,6 @@ def time_step(
         v_curr=u,
         xf_curr=xf_next,
         acc=history_push(state.acc, u, state.v_curr),
-        xf_acc=history_push(
-            state.xf_acc, np.array([xf_next]), np.array([state.xf_curr])
-        ),
         n=state.n + 1,
         stats=stats,
     )

@@ -30,6 +30,16 @@ class TestSolveMode:
         assert "max_inner_iterations" in summary
         assert "denominator_warnings" in summary
 
+    def test_alpha_near_one_writes_lemma1(self, tmp_path):
+        # the q-scaled coefficients overflow at this order; lemma1 must not
+        code = run_cli([
+            "solve", "--alpha", "0.999999", "--M", "50", "--mu", "20", "--Y", "4",
+            "--out", str(tmp_path),
+        ])
+        assert code == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["lemma1"]["sign_diag"] == -1
+
     def test_invalid_sigma_exits_one(self, tmp_path, capsys):
         code = run_cli(["solve", "--sigma", "-1", "--out", str(tmp_path)])
         assert code == 1

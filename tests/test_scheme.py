@@ -5,14 +5,20 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fronfix.cfkernel import cf_weights
+import fronfix.scheme as scheme
+from fronfix.cfkernel import CFWeights, HistoryAccumulator, cf_weights
 from fronfix.errors import DenominatorNearZeroError, FronfixError, ValidationError
 from fronfix.model import ModelParams, build_grid
 from fronfix.scheme import (
     FixedPointOptions,
     SchemeCoefficients,
+    StepState,
     _row_coefficients,
+    _solve_candidate,
+    _StepConstants,
     assemble_step,
     boundary_node_update,
     coefficients,
@@ -213,8 +219,7 @@ class TestFreeBoundaryUpdate:
             sums=sums, level=state.acc.level, decay=state.acc.decay
         )
         state2 = state.__class__(
-            v_curr=state.v_curr, xf_curr=state.xf_curr, acc=doctored,
-            xf_acc=state.xf_acc, n=state.n,
+            v_curr=state.v_curr, xf_curr=state.xf_curr, acc=doctored, n=state.n,
         )
         assert free_boundary_update(state2, u, p, g, w) == pytest.approx(1.0, rel=1e-12)
 
@@ -351,7 +356,7 @@ class TestTimeStep:
                 v_curr=state.v_curr, xf_curr=state.xf_curr,
                 acc=state.acc.__class__(sums=sums, level=state.acc.level,
                                         decay=state.acc.decay),
-                xf_acc=state.xf_acc, n=state.n,
+                n=state.n,
             )
 
         # the history shift feeds the interior solve too, so settle it
@@ -380,6 +385,65 @@ class TestTimeStep:
             )
         assert err.value.step == 0
         assert len(err.value.last_iterates) == 2
+
+
+def synthetic_state(p, g, w, xf, seed):
+    """A plausible level: a decaying profile with noise, and for fractional
+    orders a random memory sum."""
+    rng = np.random.default_rng(seed)
+    y = np.linspace(0.0, g.Y, g.M + 1)
+    v = (1.0 - xf) * np.exp(-5.0 * y) * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, y.size))
+    v[0] = 1.0 - xf
+    v[-1] = 0.0
+    fractional = isinstance(w, CFWeights)
+    sums = rng.normal(0.0, 1e-3, y.size) if fractional else np.zeros(y.size)
+    acc = HistoryAccumulator(sums=sums, level=3, decay=w.decay if fractional else 0.0)
+    return StepState(v_curr=v, xf_curr=xf, acc=acc, n=3)
+
+
+def row_margin(p, g, x, xf):
+    rows = _row_coefficients(p, g, x, xf)
+    return abs(rows.diag - 1.0) - abs(rows.upper) - abs(rows.lower)
+
+
+class TestTruncatedSweep:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        M=st.integers(5, 1600),
+        mu=st.floats(5.0, 40.0),
+        alpha=st.sampled_from([1.0, 0.9, 0.999999]),
+        xf=st.floats(0.5, 1.0),
+        delta=st.floats(-0.3, 0.3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(M=800, mu=20.0, alpha=1.0, xf=0.9, delta=0.3, seed=0)  # dominance lost
+    @example(M=800, mu=20.0, alpha=0.9, xf=0.9, delta=-1e-4, seed=0)  # truncated
+    def test_node2_matches_full_solve(self, M, mu, alpha, xf, delta, seed):
+        p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=1.0, alpha=alpha)
+        g, w = make_setup(p, M=M, mu=mu, Y=4.0)
+        state = synthetic_state(p, g, w, xf, seed)
+        step = _StepConstants(state, p, g, w)
+        x = xf + delta
+        full = _solve_candidate(state, p, g, w, x)[2]
+        truncated = step.truncated_node2(x)
+        if row_margin(p, g, x, xf) <= 0.0:
+            assert truncated is None
+        if truncated is None:
+            assert step.node2(x) == full
+        else:
+            assert abs(truncated - full) <= 1e-14 * max(1.0, abs(full))
+
+    def test_one_full_solve_per_step(self, base_params, monkeypatch):
+        calls = []
+        solve = scheme.solve_tridiagonal
+
+        def counting(sys):
+            calls.append(sys.diag.size)
+            return solve(sys)
+
+        monkeypatch.setattr(scheme, "solve_tridiagonal", counting)
+        run = run_solver(base_params, 200, 20.0, 4.0)
+        assert len(calls) == run.grid.N
 
 
 class TestRunSolver:
