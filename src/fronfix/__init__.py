@@ -62,6 +62,6 @@ from .scheme import (
     run_solver,
     time_step,
 )
-from .tridiag import TridiagonalSystem, solve_tridiagonal
+from .tridiag import TridiagonalSystem, solve_constant_bands, solve_tridiagonal
 
 __version__ = "0.1.0"

@@ -52,12 +52,6 @@ class CFWeights:
     decay: float       # rho = exp(-alpha*dtau/(1-alpha)), in (0,1)
     prefactor: float   # P = (exp(alpha*dtau/(1-alpha)) - 1)/(dtau*alpha), 1/years
 
-    def weight(self, k: int) -> float:
-        """Geometric lag weight rho**k for k >= 1."""
-        if k < 1:
-            raise ValidationError(["lag k must be >= 1"])
-        return self.decay**k
-
 
 @dataclass(frozen=True)
 class ClassicalStep:

@@ -200,8 +200,3 @@ def from_fixed_domain(v: float, y: float, xf: float, E: float) -> tuple[float, f
     if E <= 0:
         raise DomainError("E must be positive")
     return E * v, E * xf * math.exp(y)
-
-
-# intrinsic value below the boundary; the grid covers only y >= 0
-def intrinsic_put_value(E: float, S: float) -> float:
-    return max(E - S, 0.0)

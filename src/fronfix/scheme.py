@@ -56,6 +56,18 @@ from the diagonal (Demko, Moss & Smith, Math. Comp. 43, 1984), so K is a few
 dozen rows at M = 800, and the bound on |cp_i| caps it before the sweep
 starts. A candidate whose rows are not strictly dominant, or for which no row
 before the last certifies, takes the full solve instead.
+
+Level solve. The full solve (the converged level, and the fallback above)
+hands the three constant bands as scalars to tridiag.solve_constant_bands,
+which writes the level straight into u[1:-1]; no TridiagonalSystem is built
+on the march. Its right-hand side is assemble_step's expression, not
+F0 - k*dv: the two round differently, and a level one ulp off moves the
+boundary, which the Y-truncation acceptance check compares to the last bit.
+The kernel likewise repeats solve_tridiagonal's arithmetic, so a march gives
+bitwise the surface the assembled system would.
+
+Classical steps push no history: with decay 0 the sums stay zero and the
+right-hand side does not read them, so the accumulator is carried unchanged.
 """
 
 from __future__ import annotations
@@ -86,7 +98,7 @@ from .model import (
     build_grid,
     ensure_valid_params,
 )
-from .tridiag import _PIVOT_FLOOR, TridiagonalSystem, solve_tridiagonal
+from .tridiag import _PIVOT_FLOOR, TridiagonalSystem, solve_constant_bands
 
 __all__ = [
     "SchemeCoefficients",
@@ -159,7 +171,10 @@ def _time_weight(p: ModelParams, g: GridSpec) -> float:
     if p.classical:
         return g.dtau
     expo = p.alpha * g.dtau / (1.0 - p.alpha)
-    return g.dtau * p.alpha / math.expm1(expo)
+    try:
+        return g.dtau * p.alpha / math.expm1(expo)
+    except OverflowError:
+        return 0.0  # q underflows where expm1 overflows (cf_weights caps P the same way)
 
 
 def _effective_weight(p: ModelParams, g: GridSpec) -> float:
@@ -217,21 +232,28 @@ def assemble_step(
     coeffs is the row triple, already divided by rho (see _row_coefficients);
     w selects whether the fractional history enters the right-hand side.
     """
-    v = state.v_curr
-    m_count = v.size - 2
+    m_count = state.v_curr.size - 2
     if m_count < 1:
         raise ValidationError(["grid must have interior nodes"])
-    hist = state.acc.sums[1:-1] if isinstance(w, CFWeights) else 0.0
     a, b, c = coeffs.upper, coeffs.diag, coeffs.lower
-    rhs = hist - v[1:-1] - (a * v[2:] + b * v[1:-1] + c * v[:-2])
-    rhs = np.asarray(rhs, dtype=float).copy()
-    rhs[0] -= c * v0_next
     return TridiagonalSystem(
         sub=np.full(m_count - 1, c),
         diag=np.full(m_count, b - 1.0),
         super=np.full(m_count - 1, a),
-        rhs=rhs,
+        rhs=_level_rhs(state, coeffs, w, v0_next),
     )
+
+
+def _level_rhs(
+    state: StepState, coeffs: SchemeCoefficients, w: StepWeights, v0_next: float
+) -> np.ndarray:
+    """Right-hand side of the interior rows (see assemble_step)."""
+    v = state.v_curr
+    hist = state.acc.sums[1:-1] if isinstance(w, CFWeights) else 0.0
+    a, b, c = coeffs.upper, coeffs.diag, coeffs.lower
+    rhs = hist - v[1:-1] - (a * v[2:] + b * v[1:-1] + c * v[:-2])
+    rhs[0] -= c * v0_next
+    return rhs
 
 
 def _closure_line(p: ModelParams, g: GridSpec) -> tuple[float, float]:
@@ -417,13 +439,14 @@ def _solve_candidate(
     w: StepWeights,
     x: float,
 ) -> np.ndarray:
-    coeffs = _row_coefficients(p, g, x, state.xf_curr)
-    sys = assemble_step(state, coeffs, w, v0_next=1.0 - x)
-    interior = solve_tridiagonal(sys)
+    """The level for boundary x: its interior rows solved straight from their
+    constant bands, with no TridiagonalSystem built."""
+    rows = _row_coefficients(p, g, x, state.xf_curr)
     u = np.empty(g.M + 1)
     u[0] = 1.0 - x
-    u[1:-1] = interior
     u[-1] = 0.0
+    rhs = _level_rhs(state, rows, w, 1.0 - x)
+    solve_constant_bands(rows.lower, rows.diag - 1.0, rows.upper, rhs, u[1:-1])
     return u
 
 
@@ -493,10 +516,12 @@ def time_step(
         denominator_warning=warned,
         min_abs_denominator=min_abs_den,
     )
+    # classical steps have decay 0: the sums stay zero, so nothing is pushed
+    acc = history_push(state.acc, u, state.v_curr) if isinstance(w, CFWeights) else state.acc
     return StepState(
         v_curr=u,
         xf_curr=xf_next,
-        acc=history_push(state.acc, u, state.v_curr),
+        acc=acc,
         n=state.n + 1,
         stats=stats,
     )

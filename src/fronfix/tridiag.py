@@ -23,6 +23,17 @@ scalar sweep without testing the bands.
 The pivot error keeps its row semantics: every head pivot is checked row by
 row, and the tail reuses the settled head pivot, which passed the same check,
 so a singular system raises at the row the plain sweep would name.
+
+solve_constant_bands is the same solver for bands given as three scalars, as
+the stepper's rows are. With the bands known constant it needs no band scan:
+it runs the settle test inside its head sweep and lists only the first
+_HEAD_PREFIX rows of the right-hand side, extending the list only when no
+tail has settled by then. It evaluates every pivot, eliminated right-hand
+side and settle test with the operations solve_tridiagonal applies to the
+same system in full-length bands, and hands the tail to the same
+_settled_tail, so both return bitwise the same solution and raise at the
+same row. The stepper relies on that: its boundary iteration and its tests
+compare levels to the last bit.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ import numpy as np
 
 from .errors import SingularPivotError, ValidationError
 
-__all__ = ["TridiagonalSystem", "solve_tridiagonal"]
+__all__ = ["TridiagonalSystem", "solve_tridiagonal", "solve_constant_bands"]
 
 _PIVOT_FLOOR = 1e-14
 _EPS = math.ulp(1.0)  # double-precision machine epsilon
@@ -43,6 +54,9 @@ _EPS = math.ulp(1.0)  # double-precision machine epsilon
 # 2-vCPU Xeon); the margin keeps n = 99 (M = 100) on the scalar sweep, which
 # then skips the band test as well.
 _MIN_TAIL = 100
+# Right-hand-side rows solve_constant_bands lists for its head sweep; the
+# stepper's pivots settle within 9-14 rows (M = 800, mu 5-40).
+_HEAD_PREFIX = 32
 
 
 @dataclass(frozen=True)
@@ -119,16 +133,70 @@ def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
             cp[i] = sup[i] / piv
         dp[i] = (rhs[i] - sub[i - 1] * dp[i - 1]) / piv
 
-    tail = _settled_tail(sys, head, piv, dp[-1]) if head < n else None
-    x = [0.0] * head
+    x = np.empty(n)
+    if head < n:
+        _settled_tail(sys.rhs[head:], float(sys.sub[-1]), float(sys.super[-1]),
+                      piv, dp[-1], x[head:])
+    _back_substitute(cp, dp, x)
+    return x
+
+
+def solve_constant_bands(
+    lower: float, diag: float, upper: float, rhs: np.ndarray, out: np.ndarray
+) -> None:
+    """Solve the constant-band system into out (which may be rhs itself).
+
+    Row i reads lower*x[i-1] + diag*x[i] + upper*x[i+1] = rhs[i]. The solution
+    is bitwise the one solve_tridiagonal returns for the same bands held in
+    full-length arrays, and a SingularPivotError names the same row.
+    """
+    n = rhs.size
+    if n < 1 or out.shape != rhs.shape:
+        raise ValidationError(["rhs and out must be vectors of one length >= 1"])
+    c, d, a = float(lower), float(diag), float(upper)
+    ca = abs(c * a)
+    # rows before `last` may end a head that leaves at least _MIN_TAIL rows
+    last = n - _MIN_TAIL if n > _MIN_TAIL + 1 else 0
+    f = rhs[:_HEAD_PREFIX].tolist() if last else rhs.tolist()
+    piv = d
+    if abs(piv) <= _PIVOT_FLOOR:
+        raise SingularPivotError(0, piv)
+    cpi = a / piv if n > 1 else 0.0
+    dpi = f[0] / piv
+    cp = [cpi]
+    dp = [dpi]
+    for i in range(1, n):
+        if i == len(f):
+            f += rhs[i:].tolist()
+        nxt = d - c * cpi
+        if abs(nxt) <= _PIVOT_FLOOR:
+            raise SingularPivotError(i, nxt)
+        cpi = a / nxt if i < n - 1 else 0.0
+        dpi = (f[i] - c * dpi) / nxt
+        cp.append(cpi)
+        dp.append(dpi)
+        # _head_rows' settle test on the pivots of rows i-1 and i
+        if i < last and abs(nxt - piv) <= 4.0 * _EPS * abs(nxt) * (1.0 - ca / (piv * piv)):
+            _settled_tail(rhs[i + 1 :], c, a, nxt, dpi, out[i + 1 :])
+            break
+        piv = nxt
+    _back_substitute(cp, dp, out)
+
+
+def _back_substitute(cp: list[float], dp: list[float], out: np.ndarray) -> None:
+    """Write x[:head] of the eliminated head rows into out, head = len(dp).
+
+    out[head], when the system has more rows, already holds the tail's first
+    value.
+    """
+    head = len(dp)
     # cp[n-1] is zero, so without a tail the first pass yields x[n-1] = dp[n-1]
-    xi = float(tail[0]) if tail is not None else 0.0
+    xi = float(out[head]) if head < out.size else 0.0
+    x = [0.0] * head
     for i in range(head - 1, -1, -1):
         xi = dp[i] - cp[i] * xi
         x[i] = xi
-    if tail is None:
-        return np.asarray(x)
-    return np.concatenate((x, tail))
+    out[:head] = x
 
 
 def _constant_from(band: np.ndarray) -> int:
@@ -177,30 +245,31 @@ def _head_rows(sys: TridiagonalSystem) -> int:
 
 
 def _settled_tail(
-    sys: TridiagonalSystem, head: int, piv: float, dp_prev: float
-) -> np.ndarray:
-    """x[head:] for constant-band rows sharing the settled pivot piv.
+    rhs: np.ndarray, lower: float, upper: float, piv: float, dp_prev: float,
+    out: np.ndarray,
+) -> None:
+    """Write x for constant-band rows sharing the settled pivot piv into out.
 
-    dp_prev is the eliminated right-hand side of row head-1. Each sweep is a
-    first-order recurrence with a constant multiplier g, run by recursive
-    doubling: after the pass with shift s every entry holds the exact sum of
-    its window of 2s terms, and the terms beyond it carry weight |g|^(2s),
-    so the passes stop once that falls under eps or the window spans the
-    tail.
+    rhs holds those rows' right-hand side (out may be rhs itself), lower and
+    upper their bands, and dp_prev the eliminated right-hand side of the row
+    before them. Each sweep is a first-order recurrence with a constant
+    multiplier g, run by recursive doubling: after the pass with shift s
+    every entry holds the exact sum of its window of 2s terms, and the terms
+    beyond it carry weight |g|^(2s), so the passes stop once that falls under
+    eps or the window spans the tail.
     """
-    m = sys.diag.size - head
-    y = sys.rhs[head:] / piv
-    g = -float(sys.sub[-1]) / piv
+    m = rhs.size
+    y = np.divide(rhs, piv, out=out)
+    g = -lower / piv
     y[0] += g * dp_prev
     s = 1
     while s < m and abs(g) > _EPS:  # y[i] += g*y[i-1], for i = 1, 2, ... in turn
         y[s:] += g * y[:-s]
         g *= g
         s *= 2
-    h = -float(sys.super[-1]) / piv
+    h = -upper / piv
     s = 1
     while s < m and abs(h) > _EPS:  # y[i] += h*y[i+1], for i = m-2, m-3, ... in turn
         y[:-s] += h * y[s:]
         h *= h
         s *= 2
-    return y

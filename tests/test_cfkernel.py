@@ -35,11 +35,6 @@ class TestWeights:
         assert w.decay == pytest.approx(math.exp(-0.01), rel=1e-15)
         assert w.prefactor == pytest.approx((math.exp(0.01) - 1.0) / 0.005, rel=1e-14)
 
-    def test_weight_ratio_is_geometric(self):
-        w = cf_weights(0.37, 0.02)
-        for k in range(1, 8):
-            assert w.weight(k + 1) / w.weight(k) == pytest.approx(w.decay, rel=1e-12)
-
     def test_decay_in_unit_interval_and_prefactor_identity(self):
         for alpha in (0.05, 0.3, 0.6, 0.95):
             for dtau in (1e-4, 0.01, 0.25):

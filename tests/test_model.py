@@ -135,15 +135,6 @@ class TestTransforms:
         assert strike * xf == pytest.approx(xstar, rel=1e-12)
 
 
-class TestIntrinsicValue:
-    def test_stopping_region_price_is_strike_minus_spot(self):
-        # below the boundary the contract is worth its immediate payoff
-        from fronfix.model import intrinsic_put_value
-
-        assert intrinsic_put_value(E=1.0, S=0.5) == 0.5
-        assert intrinsic_put_value(E=1.0, S=1.5) == 0.0
-
-
 class TestSolutionSurface:
     def test_structural_identities_enforced(self):
         v = np.zeros((3, 5))

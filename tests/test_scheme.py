@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fronfix.scheme as scheme
-from fronfix.cfkernel import CFWeights, HistoryAccumulator, cf_weights
+from fronfix.cfkernel import CFWeights, HistoryAccumulator, cf_weights, history_push
 from fronfix.errors import DenominatorNearZeroError, FronfixError, ValidationError
 from fronfix.model import ModelParams, build_grid
 from fronfix.scheme import (
@@ -28,6 +28,7 @@ from fronfix.scheme import (
     run_solver,
     time_step,
 )
+from fronfix.tridiag import TridiagonalSystem
 from reference import reference_run
 
 
@@ -128,6 +129,13 @@ class TestCoefficients:
         assert rows.upper == pytest.approx(classical.upper, rel=2e-6)
         assert rows.diag == pytest.approx(classical.diag, rel=2e-6)
         assert rows.lower == pytest.approx(classical.lower, rel=2e-6)
+
+    def test_triple_underflows_to_zero_as_alpha_nears_one(self):
+        # expm1 overflows here; q itself underflows, as cf_weights' 1/prefactor does
+        p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=1.0, alpha=0.999999)
+        g, _ = make_setup(p, M=50, mu=10.0, Y=4.0)
+        c = coefficients(p, g, 0.9, 1.0)
+        assert (c.upper, c.diag, c.lower) == (0.0, 0.0, 0.0)
 
 
 class TestAssemble:
@@ -435,18 +443,46 @@ class TestTruncatedSweep:
 
     def test_one_full_solve_per_step(self, base_params, monkeypatch):
         calls = []
-        solve = scheme.solve_tridiagonal
+        solve = scheme.solve_constant_bands
 
-        def counting(sys):
-            calls.append(sys.diag.size)
-            return solve(sys)
+        def counting(lower, diag, upper, rhs, out):
+            calls.append(rhs.size)
+            return solve(lower, diag, upper, rhs, out)
 
-        monkeypatch.setattr(scheme, "solve_tridiagonal", counting)
+        def no_system(self):
+            raise AssertionError("the march built a TridiagonalSystem")
+
+        monkeypatch.setattr(scheme, "solve_constant_bands", counting)
+        monkeypatch.setattr(TridiagonalSystem, "__post_init__", no_system)
         run = run_solver(base_params, 200, 20.0, 4.0)
         assert len(calls) == run.grid.N
 
 
 class TestRunSolver:
+    @pytest.mark.parametrize("alpha", [1.0, 0.9])
+    def test_only_fractional_steps_push_the_history(self, alpha, monkeypatch):
+        p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=1.0, alpha=alpha)
+        g, w = make_setup(p, M=40, mu=20.0, Y=4.0)
+        # the levels of a march that pushes on every step, classical ones too
+        state = initial_state(p, g, w)
+        levels = [state.v_curr]
+        for _ in range(g.N):
+            nxt = time_step(state, p, g, w)
+            acc = history_push(state.acc, nxt.v_curr, state.v_curr)
+            state = StepState(v_curr=nxt.v_curr, xf_curr=nxt.xf_curr, acc=acc, n=nxt.n)
+            levels.append(state.v_curr)
+        pushes = []
+        push = scheme.history_push
+
+        def counting(acc, v_new, v_prev):
+            pushes.append(acc.level)
+            return push(acc, v_new, v_prev)
+
+        monkeypatch.setattr(scheme, "history_push", counting)
+        run = run_solver(p, 40, 20.0, 4.0)
+        assert len(pushes) == (0 if alpha == 1.0 else g.N)
+        assert np.array_equal(run.surface.v, np.array(levels))
+
     def test_production_equals_reference_smallest(self):
         # brute-force equivalence on a desk-size grid, all three orders
         for alpha in (0.3, 0.6, 0.9):

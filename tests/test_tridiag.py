@@ -2,11 +2,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fronfix.errors import SingularPivotError, ValidationError
-from fronfix.tridiag import _MIN_TAIL, TridiagonalSystem, _head_rows, solve_tridiagonal
+from fronfix.tridiag import (
+    _MIN_TAIL,
+    TridiagonalSystem,
+    _head_rows,
+    solve_constant_bands,
+    solve_tridiagonal,
+)
 
 
 def scalar_sweep(sys: TridiagonalSystem) -> np.ndarray:
@@ -73,6 +79,44 @@ def constant_tail_systems(draw):
         sub[: h - 1] = rng.uniform(-1.0, 1.0, h - 1)
         sup[: h - 1] = rng.uniform(-1.0, 1.0, h - 1)
     return TridiagonalSystem(sub=sub, diag=diag, super=sup, rhs=rng.uniform(-1.0, 1.0, n))
+
+
+@st.composite
+def constant_band_systems(draw):
+    """(lower, diag, upper, rhs) with the heads the kernel must handle: short
+    ones (stepper rows), ones past the listed prefix (slowly settling
+    pivots), none (n <= _MIN_TAIL + 1), and singular pivots."""
+    shape = draw(st.sampled_from(["stepper", "general", "slow_decay", "singular"]))
+    n = draw(st.one_of(
+        st.integers(1, 2000),
+        st.integers(_MIN_TAIL - 3, _MIN_TAIL + 5),
+        st.integers(_MIN_TAIL + 2, 2000),
+    ))
+    if shape == "slow_decay":  # heads of 50-500 rows: past the listed prefix
+        n = max(n, 3 * _MIN_TAIL)
+    rhs = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1.0, 1.0, n)
+    if shape == "stepper":
+        mu = draw(st.floats(5.0, 40.0))
+        base = stepper_rows(n + 1, mu, np.zeros(n + 1))
+        drift = draw(st.floats(-0.3, 0.3)) * float(base.super[0])
+        c, d, a = float(base.sub[0]) - drift, float(base.diag[0]), float(base.super[0]) + drift
+    elif shape == "general":
+        a, c = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+        d = draw(st.sampled_from([-1.0, 1.0])) * (abs(a) + abs(c)) * draw(st.floats(1.0, 4.0))
+    elif shape == "slow_decay":
+        theta = draw(st.floats(10.0, 1000.0))
+        a = c = theta
+        d = -(1.0 + 2.0 * theta * draw(st.floats(1.0, 1.01)))
+    else:
+        d, a, c = draw(st.sampled_from([(1.0, 1.0, 1.0), (2.0, 1.0, 2.0), (0.0, 1.0, 1.0)]))
+    return c, d, a, rhs
+
+
+def full_bands(lower, diag, upper, rhs):
+    n = rhs.size
+    return TridiagonalSystem(
+        sub=np.full(n - 1, lower), diag=np.full(n, diag), super=np.full(n - 1, upper), rhs=rhs
+    )
 
 
 def test_identity_bands_return_rhs():
@@ -165,6 +209,9 @@ def test_tails_either_side_of_the_crossover():
         assert (_head_rows(sys) == head) is vectorized
         x = solve_tridiagonal(sys)
         ref = scalar_sweep(sys)
+        out = np.empty(n)
+        solve_constant_bands(long.sub[0], long.diag[0], long.super[0], sys.rhs, out)
+        assert out.tobytes() == x.tobytes()
         if vectorized:
             assert x == pytest.approx(ref, rel=0, abs=1e-14)
         else:
@@ -195,3 +242,33 @@ def test_singular_constant_bands_above_crossover_name_the_scalar_row(d, a, c, ro
     with pytest.raises(SingularPivotError) as err:
         solve_tridiagonal(sys)
     assert err.value.row == ref_err.value.row == row
+
+
+@settings(max_examples=150, deadline=None)
+@given(constant_band_systems(), st.booleans())
+@example((1.0, 1.0, 1.0, np.ones(3 * _MIN_TAIL)), False)  # singular at row 1
+@example((2.0, 2.0, 1.0, np.ones(3 * _MIN_TAIL)), True)  # singular at row 2
+@example((1000.0, -2011.0, 1000.0, np.linspace(-1.0, 1.0, 1999)), False)  # head past the prefix
+def test_constant_bands_solve_bitwise_as_solve_tridiagonal(bands, in_place):
+    lower, diag, upper, rhs = bands
+    sys = full_bands(lower, diag, upper, rhs)
+    rhs = rhs.copy()
+    out = rhs if in_place else np.empty_like(rhs)
+    try:
+        ref = solve_tridiagonal(sys)
+    except SingularPivotError as ref_err:
+        with pytest.raises(SingularPivotError) as err:
+            solve_constant_bands(lower, diag, upper, rhs, out)
+        assert (err.value.row, err.value.pivot) == (ref_err.row, ref_err.pivot)
+        return
+    solve_constant_bands(lower, diag, upper, rhs, out)
+    assert out.tobytes() == ref.tobytes()
+    if not in_place:
+        assert rhs.tobytes() == sys.rhs.tobytes()
+
+
+def test_constant_bands_reject_mismatched_out():
+    with pytest.raises(ValidationError):
+        solve_constant_bands(1.0, 4.0, 1.0, np.ones(5), np.empty(4))
+    with pytest.raises(ValidationError):
+        solve_constant_bands(1.0, 4.0, 1.0, np.ones(0), np.empty(0))
