@@ -53,10 +53,7 @@ from .scheme import (
     SchemeCoefficients,
     SolverRun,
     StepState,
-    assemble_step,
-    boundary_node_update,
     coefficients,
-    free_boundary_update,
     initial_state,
     price_at,
     run_solver,

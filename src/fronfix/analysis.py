@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import GridSpec, ModelParams, SolutionSurface
-from .parallel import map_ordered
-from .scheme import _row_coefficients, price_at, run_solver
+from .scheme import _effective_weight, _operator_triple, price_at, run_solver
 
 __all__ = [
     "Lemma1Report",
@@ -73,10 +72,11 @@ def lemma1_check(
         xf_path = np.asarray(xf_path, dtype=float)
         pairs = list(zip(xf_path[1:], xf_path[:-1]))
     signs = np.empty((len(pairs), 3), dtype=int)
+    # the stepper's rows are the triple divided by rho > 0: the same signs,
+    # and finite where the q-scaled triple overflows (alpha near 1)
+    q_eff = _effective_weight(p, g)
     for i, (xf_next, xf_curr) in enumerate(pairs):
-        # the stepper's rows are the triple divided by rho > 0: the same signs,
-        # and finite where the q-scaled triple overflows (alpha near 1)
-        c = _row_coefficients(p, g, xf_next, xf_curr)
+        c = _operator_triple(p, g, q_eff, xf_next, xf_curr)
         signs[i] = (np.sign(c.upper), np.sign(c.diag), np.sign(c.lower))
     return Lemma1Report(cond_conv, cond_dt, signs)
 
@@ -253,8 +253,8 @@ def observed_order(
             float(run.surface.xf[-1]),
         )
 
-    spatial = map_ordered(one, spatial_args)
-    temporal = map_ordered(one, temporal_args)
+    spatial = [one(args) for args in spatial_args]
+    temporal = [one(args) for args in temporal_args]
     sp_price = [row[2] for row in spatial]
     sp_xf = [row[3] for row in spatial]
     tm_price = [row[2] for row in temporal]
@@ -297,4 +297,4 @@ def y_truncation_study(
         run = run_solver(p, m_nodes, mu, y_bound)
         return StudyRow(Y=y_bound, M=m_nodes, xf_final=float(run.surface.xf[-1]))
 
-    return tuple(map_ordered(one, list(Ys)))
+    return tuple(one(y_bound) for y_bound in Ys)

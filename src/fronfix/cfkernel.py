@@ -93,23 +93,17 @@ class HistoryAccumulator:
     """Running weighted increment sums, one per node.
 
     sums[m] = sum_{k=1..n} (v^{n+1-k}[m] - v^{n-k}[m]) * decay^k at level n.
-    last_delta keeps the most recent raw increment so the classical backward
-    difference can be read off the same state.
+    Classical mode has decay 0, so its sums stay zero.
     """
 
     sums: np.ndarray
     level: int
     decay: float
-    last_delta: np.ndarray | None = None
 
     def __post_init__(self):
         sums = np.asarray(self.sums, dtype=float)
         sums.setflags(write=False)
         object.__setattr__(self, "sums", sums)
-        if self.last_delta is not None:
-            ld = np.asarray(self.last_delta, dtype=float)
-            ld.setflags(write=False)
-            object.__setattr__(self, "last_delta", ld)
 
 
 def empty_history(n_nodes: int, w: StepWeights) -> HistoryAccumulator:
@@ -142,21 +136,17 @@ def history_push(
     v_prev = np.asarray(v_prev, dtype=float)
     if v_new.shape != acc.sums.shape or v_prev.shape != acc.sums.shape:
         raise ValidationError(["node vectors must match the accumulator length"])
-    delta = v_new - v_prev
     return HistoryAccumulator(
-        sums=acc.decay * (acc.sums + delta),
+        sums=acc.decay * (acc.sums + (v_new - v_prev)),
         level=acc.level + 1,
         decay=acc.decay,
-        last_delta=delta,
     )
 
 
-def cf_derivative_apply(acc: HistoryAccumulator, w: StepWeights) -> np.ndarray:
+def cf_derivative_apply(acc: HistoryAccumulator, w: CFWeights) -> np.ndarray:
     """Discrete time-derivative values at the accumulator's level, per node."""
-    if isinstance(w, ClassicalStep):
-        if acc.last_delta is None:
-            raise ValidationError(["classical difference needs at least one push"])
-        return acc.last_delta / w.dtau
+    if not isinstance(w, CFWeights):
+        raise ValidationError(["derivative requires fractional weights"])
     if acc.level < 1:
         raise ValidationError(["derivative needs at least one pushed level"])
     if acc.decay != w.decay:

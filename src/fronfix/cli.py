@@ -42,20 +42,18 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=str, default=None,
                      help="JSON file with defaults for any flag")
     sub.add_argument("--out", type=str, default=None, help="output directory")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="seed recorded for randomized sweeps")
 
 
 def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--M", type=int, default=None, help="spatial node count")
     sub.add_argument("--mu", type=float, default=None, help="grid ratio dtau/dy^2")
     sub.add_argument("--Y", type=str, default=None,
-                     help="truncation bound (default 4*E); comma list for studies")
+                     help="truncation bound in y = ln(X/X*) (default 4); comma list for studies")
 
 
 _DEFAULTS = {
     "r": 0.1, "sigma": 0.2, "E": 1.0, "T": 1.0, "alpha": 1.0,
-    "M": 100, "mu": 20.0, "Y": None, "out": "out", "seed": 0,
+    "M": 100, "mu": 20.0, "Y": None, "out": "out",
     "refinements": 2, "S0": None, "steps": 5000,
     "alphas": "0.3,0.6,0.9", "growth": "0.1,1,10",
     "history_terms": "1,10,100", "wavenumbers": 20,
@@ -92,9 +90,9 @@ def _params(cfg: dict) -> ModelParams:
     return p
 
 
-def _single_Y(cfg: dict, p: ModelParams) -> float:
+def _single_Y(cfg: dict) -> float | None:
     if cfg["Y"] is None:
-        return 4.0 * p.E
+        return None  # build_grid's default
     # studies accept comma lists; single-run modes need one value
     text = str(cfg["Y"])
     vals = [float(tok) for tok in text.split(",") if tok]
@@ -112,10 +110,10 @@ def _out_dir(cfg: dict) -> Path:
 def _cmd_solve(cfg: dict) -> int:
     p = _params(cfg)
     out = _out_dir(cfg)
-    run = run_solver(p, int(cfg["M"]), float(cfg["mu"]), _single_Y(cfg, p))
+    run = run_solver(p, int(cfg["M"]), float(cfg["mu"]), _single_Y(cfg))
     emit_csv(run, out)
     rep = lemma1_check(p, run.grid, run.surface.xf)
-    emit_summary(run, rep, out / "summary.json", extra={"seed": int(cfg["seed"])})
+    emit_summary(run, rep, out / "summary.json")
     emit_plot_script(run, out / "boundary_value.svg")
     print(f"solved: N={run.grid.N} xf(T)={fmt(run.surface.xf[-1])} "
           f"price(S=E)={fmt(price_at(run, p.E))}")
@@ -140,7 +138,7 @@ def _cmd_truncation(cfg: dict) -> int:
 def _cmd_order(cfg: dict) -> int:
     p = _params(cfg)
     out = _out_dir(cfg)
-    base = build_grid(p, int(cfg["M"]), float(cfg["mu"]), _single_Y(cfg, p))
+    base = build_grid(p, int(cfg["M"]), float(cfg["mu"]), _single_Y(cfg))
     est = observed_order(p, base, int(cfg["refinements"]))
     payload = {
         "spatial_price_rates": list(est.spatial_price_rates),
@@ -159,7 +157,7 @@ def _cmd_order(cfg: dict) -> int:
 def _cmd_stability(cfg: dict) -> int:
     p_base = _params(cfg)
     out = _out_dir(cfg)
-    g = build_grid(p_base, int(cfg["M"]), float(cfg["mu"]), _single_Y(cfg, p_base))
+    g = build_grid(p_base, int(cfg["M"]), float(cfg["mu"]), _single_Y(cfg))
     alphas = [float(t) for t in str(cfg["alphas"]).split(",") if t]
     growths = [float(t) for t in str(cfg["growth"]).split(",") if t]
     terms = [int(t) for t in str(cfg["history_terms"]).split(",") if t]
@@ -186,7 +184,7 @@ def _cmd_oracle_compare(cfg: dict) -> int:
     p = _params(cfg)
     out = _out_dir(cfg)
     s0 = float(cfg["S0"]) if cfg["S0"] is not None else p.E
-    run = run_solver(p, int(cfg["M"]), float(cfg["mu"]), _single_Y(cfg, p))
+    run = run_solver(p, int(cfg["M"]), float(cfg["mu"]), _single_Y(cfg))
     ff_price = price_at(run, s0)
     tree = binomial_american_put(p, s0, int(cfg["steps"]))
     psor = psor_american_put(p, s0, int(cfg["Ms"]), int(cfg["Nt"]), float(cfg["omega"]))

@@ -123,10 +123,11 @@ def _guarded_ceil(x: float) -> int:
 
 
 def build_grid(p: ModelParams, M: int, mu: float, Y: float | None = None) -> GridSpec:
-    """Construct the grid; Y defaults to the customary truncation 4*E."""
+    """Construct the grid; Y defaults to 4, a bound on y = ln(X/X*), which has
+    no units (so the default does not scale with the strike)."""
     ensure_valid_params(p)
     if Y is None:
-        Y = 4.0 * p.E
+        Y = 4.0
     bad: list[str] = []
     if not isinstance(M, (int, np.integer)) or M < 4:
         bad.append("M must be an integer >= 4")

@@ -87,7 +87,7 @@ def _lemma1_dict(rep: Lemma1Report) -> dict:
     }
 
 
-def emit_summary(run: SolverRun, lemma1: Lemma1Report, path: Path, extra: dict | None = None) -> None:
+def emit_summary(run: SolverRun, lemma1: Lemma1Report, path: Path) -> None:
     payload = {
         "params": {
             "r": run.params.r,
@@ -111,8 +111,6 @@ def emit_summary(run: SolverRun, lemma1: Lemma1Report, path: Path, extra: dict |
         "xf_final": float(run.surface.xf[-1]),
         "price_at_strike": price_at(run, run.params.E),
     }
-    if extra:
-        payload.update(extra)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 

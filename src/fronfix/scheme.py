@@ -57,17 +57,16 @@ dozen rows at M = 800, and the bound on |cp_i| caps it before the sweep
 starts. A candidate whose rows are not strictly dominant, or for which no row
 before the last certifies, takes the full solve instead.
 
-Level solve. The full solve (the converged level, and the fallback above)
-hands the three constant bands as scalars to tridiag.solve_constant_bands,
-which writes the level straight into u[1:-1]; no TridiagonalSystem is built
-on the march. Its right-hand side is assemble_step's expression, not
-F0 - k*dv: the two round differently, and a level one ulp off moves the
-boundary, which the Y-truncation acceptance check compares to the last bit.
-The kernel likewise repeats solve_tridiagonal's arithmetic, so a march gives
-bitwise the surface the assembled system would.
+Level solve. The step constants build the full solve's level themselves
+(the converged boundary, and the fallback above): they hand the three constant
+bands as scalars to tridiag.solve_constant_bands, which writes the level
+straight into u[1:-1]. Its right-hand side is
+S - v - (A v[m+1] + B v[m] + C v[m-1]), not F0 - k*dv: the two round
+differently, and a level one ulp off moves the boundary, which the
+Y-truncation acceptance check compares to the last bit.
 
-Classical steps push no history: with decay 0 the sums stay zero and the
-right-hand side does not read them, so the accumulator is carried unchanged.
+Classical mode is decay 0: its sums stay exact zeros, which the right-hand
+side reads like any others, and no history is pushed.
 """
 
 from __future__ import annotations
@@ -78,8 +77,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cfkernel import (
-    CFWeights,
-    ClassicalStep,
     HistoryAccumulator,
     StepWeights,
     cf_weights,
@@ -98,7 +95,7 @@ from .model import (
     build_grid,
     ensure_valid_params,
 )
-from .tridiag import _PIVOT_FLOOR, TridiagonalSystem, solve_constant_bands
+from .tridiag import _PIVOT_FLOOR, solve_constant_bands
 
 __all__ = [
     "SchemeCoefficients",
@@ -107,9 +104,6 @@ __all__ = [
     "FixedPointOptions",
     "SolverRun",
     "coefficients",
-    "assemble_step",
-    "boundary_node_update",
-    "free_boundary_update",
     "initial_state",
     "time_step",
     "run_solver",
@@ -178,7 +172,11 @@ def _time_weight(p: ModelParams, g: GridSpec) -> float:
 
 
 def _effective_weight(p: ModelParams, g: GridSpec) -> float:
-    """Row normalization q_eff = q/rho; equals dtau in classical mode."""
+    """Row normalization q_eff = q/rho; equals dtau in classical mode.
+
+    Built directly: q and 1/rho overflow as alpha -> 1 while their product
+    stays near dtau*alpha.
+    """
     if p.classical:
         return g.dtau
     expo = p.alpha * g.dtau / (1.0 - p.alpha)
@@ -192,124 +190,62 @@ def coefficients(
     return _operator_triple(p, g, _time_weight(p, g), xf_next, xf_curr)
 
 
-def _row_coefficients(
-    p: ModelParams, g: GridSpec, xf_next: float, xf_curr: float
-) -> SchemeCoefficients:
-    """The triple divided by rho, as the stepper's rows use it (weight q_eff).
-
-    Built from q_eff directly: q and 1/rho overflow as alpha -> 1 while
-    their product stays near dtau*alpha.
-    """
-    return _operator_triple(p, g, _effective_weight(p, g), xf_next, xf_curr)
-
-
 def _operator_triple(
     p: ModelParams, g: GridSpec, q: float, xf_next: float, xf_curr: float
 ) -> SchemeCoefficients:
-    """The triple (A, B, C) for time weight q."""
-    if xf_curr == 0.0:
-        raise ValidationError(["xf_curr must be nonzero"])
-    sig2 = p.sigma * p.sigma
-    theta = q * sig2 / (4.0 * g.dy * g.dy)
-    beta = q * (p.r - sig2 / 2.0) / (4.0 * g.dy)
-    drift = q * (xf_next - xf_curr) / (4.0 * g.dy * g.dtau * xf_curr)
-    return SchemeCoefficients(
-        upper=theta + beta + drift,
-        diag=-(q / 2.0) * (sig2 / (g.dy * g.dy) + p.r),
-        lower=theta - beta - drift,
-    )
+    """The triple (A, B, C) for time weight q (q_eff gives the stepper's rows)."""
+    rows = _Rows(p, g, q, xf_curr)
+    upper, lower, _ = rows.bands(xf_next)
+    return SchemeCoefficients(upper=upper, diag=rows.b_diag, lower=lower)
 
 
-def assemble_step(
-    state: StepState,
-    coeffs: SchemeCoefficients,
-    w: StepWeights,
-    v0_next: float,
-) -> TridiagonalSystem:
-    """Interior rows m = 1..M-1 for the unknown level, boundary values moved
-    to the right-hand side (v[0] = v0_next, v[M] = 0).
+class _Rows:
+    """The parts of the triple fixed by the time weight q and xf_curr: theta,
+    beta, the diagonal B and the drift's denominator."""
 
-    coeffs is the row triple, already divided by rho (see _row_coefficients);
-    w selects whether the fractional history enters the right-hand side.
-    """
-    m_count = state.v_curr.size - 2
-    if m_count < 1:
-        raise ValidationError(["grid must have interior nodes"])
-    a, b, c = coeffs.upper, coeffs.diag, coeffs.lower
-    return TridiagonalSystem(
-        sub=np.full(m_count - 1, c),
-        diag=np.full(m_count, b - 1.0),
-        super=np.full(m_count - 1, a),
-        rhs=_level_rhs(state, coeffs, w, v0_next),
-    )
+    __slots__ = ("q", "xf_curr", "theta", "beta", "b_diag", "den")
+
+    def __init__(self, p: ModelParams, g: GridSpec, q: float, xf_curr: float):
+        if xf_curr == 0.0:
+            raise ValidationError(["xf_curr must be nonzero"])
+        sig2 = p.sigma * p.sigma
+        self.q, self.xf_curr = q, xf_curr
+        self.theta = q * sig2 / (4.0 * g.dy * g.dy)
+        self.beta = q * (p.r - sig2 / 2.0) / (4.0 * g.dy)
+        self.b_diag = -(q / 2.0) * (sig2 / (g.dy * g.dy) + p.r)
+        self.den = 4.0 * g.dy * g.dtau * xf_curr
+
+    def bands(self, x: float) -> tuple[float, float, float]:
+        """Upper band A, lower band C and the drift for candidate boundary x."""
+        drift = self.q * (x - self.xf_curr) / self.den
+        return self.theta + self.beta + drift, self.theta - self.beta - drift, drift
 
 
-def _level_rhs(
-    state: StepState, coeffs: SchemeCoefficients, w: StepWeights, v0_next: float
-) -> np.ndarray:
-    """Right-hand side of the interior rows (see assemble_step)."""
-    v = state.v_curr
-    hist = state.acc.sums[1:-1] if isinstance(w, CFWeights) else 0.0
-    a, b, c = coeffs.upper, coeffs.diag, coeffs.lower
-    rhs = hist - v[1:-1] - (a * v[2:] + b * v[1:-1] + c * v[:-2])
-    rhs[0] -= c * v0_next
-    return rhs
-
-
-def _closure_line(p: ModelParams, g: GridSpec) -> tuple[float, float]:
-    """Boundary closure v[1] = g0 + g1*xf_next."""
-    sig2 = p.sigma * p.sigma
-    g1 = -(1.0 + g.dy) - g.dy * g.dy / 2.0
-    g0 = 1.0 + (g.dy * g.dy / sig2) * p.r
-    return g0, g1
-
-
-def boundary_node_update(
-    state: StepState,
-    xf_next: float,
-    p: ModelParams,
-    g: GridSpec,
-    w: StepWeights,
-) -> float:
-    """Boundary-adjacent value v[1] at the new level for a candidate boundary.
-
-    The closure is memoryless, so state and w do not enter; the signature
-    stays uniform with the other per-step operations.
-    """
-    g0, g1 = _closure_line(p, g)
-    return g0 + g1 * xf_next
-
-
-class _StepConstants:
+class _StepConstants(_Rows):
     """What the candidates of one time step share.
 
-    The row constants, the closure line and the candidate-free parts F0 and dv
-    of the right-hand side (see the module docstring) are computed once per
-    step, so a candidate costs a short scalar sweep.
+    The row constants (weight q_eff), the closure line v[1] = g0 + g1*xf_next
+    and the candidate-free parts F0 and dv of the right-hand side (see the
+    module docstring) are computed once per step, so a candidate costs a
+    short scalar sweep.
     """
 
     __slots__ = (
-        "state", "p", "g", "w", "qe", "theta", "beta", "omega", "b_diag",
-        "g0", "g1", "den", "hist1", "v0", "v1", "v2", "f0", "dv", "f0_max", "dv_max",
+        "state", "omega", "g0", "g1", "hist1", "v0", "v1", "v2",
+        "f0", "dv", "f0_max", "dv_max",
     )
 
-    def __init__(self, state: StepState, p: ModelParams, g: GridSpec, w: StepWeights):
-        self.state, self.p, self.g, self.w = state, p, g, w
+    def __init__(self, state: StepState, p: ModelParams, g: GridSpec):
+        super().__init__(p, g, _effective_weight(p, g), state.xf_curr)
+        self.state = state
         v = state.v_curr
-        qe = _effective_weight(p, g)
-        sig2 = p.sigma * p.sigma
-        self.qe = qe
-        self.theta = qe * sig2 / (4.0 * g.dy * g.dy)
-        self.beta = qe * (p.r - sig2 / 2.0) / (4.0 * g.dy)
-        # drift(x) = qe*(x - xf_curr)/den, as _operator_triple evaluates it
-        self.den = 4.0 * g.dy * g.dtau * state.xf_curr
-        self.omega = qe / self.den
-        self.b_diag = -(qe / 2.0) * (sig2 / (g.dy * g.dy) + p.r)
-        self.g0, self.g1 = _closure_line(p, g)
-        cf = isinstance(w, CFWeights)
-        self.hist1 = float(state.acc.sums[1]) if cf else 0.0
+        self.omega = self.q / self.den
+        self.g1 = -(1.0 + g.dy) - g.dy * g.dy / 2.0
+        self.g0 = 1.0 + (g.dy * g.dy / (p.sigma * p.sigma)) * p.r
+        # classical mode reads its sums too: they are exact zeros
+        hist = state.acc.sums[1:-1]
+        self.hist1 = float(hist[0])
         self.v0, self.v1, self.v2 = v[:3].tolist()
-        hist = state.acc.sums[1:-1] if cf else 0.0
         self.f0 = hist - v[1:-1] - (self.b_diag * v[1:-1] + self.theta * (v[2:] + v[:-2]))
         self.dv = v[2:] - v[:-2]
         self.f0_max = float(np.abs(self.f0).max())
@@ -328,12 +264,26 @@ class _StepConstants:
             self.hist1
             - theta * total
             - beta * diff
-            + omega * self.state.xf_curr * diff
+            + omega * self.xf_curr * diff
             - (b_diag - 1.0) * self.g0
             - (b_diag + 1.0) * self.v1
         )
         scale = max(1.0, abs(omega * diff), abs((b_diag - 1.0) * self.g1))
         return omega1, omega2, scale
+
+    def level(self, x: float) -> np.ndarray:
+        """The level for boundary x, its interior rows solved straight from
+        their constant bands (v[0] = 1 - x, v[M] = 0)."""
+        a, c, _ = self.bands(x)
+        b = self.b_diag
+        v = self.state.v_curr
+        u = np.empty(v.size)
+        u[0] = 1.0 - x
+        u[-1] = 0.0
+        rhs = self.state.acc.sums[1:-1] - v[1:-1] - (a * v[2:] + b * v[1:-1] + c * v[:-2])
+        rhs[0] -= c * (1.0 - x)
+        solve_constant_bands(c, b - 1.0, a, rhs, u[1:-1])
+        return u
 
     def truncated_node2(self, x: float) -> float | None:
         """u[2] of candidate x from the leading rows of the Thomas sweep.
@@ -341,11 +291,8 @@ class _StepConstants:
         None when the rows are not strictly dominant or no row before the
         last certifies the truncation.
         """
-        drift = self.qe * (x - self.state.xf_curr) / self.den
+        a, c, drift = self.bands(x)
         k = self.beta + drift
-        # the bands as _operator_triple rounds them
-        a = self.theta + self.beta + drift
-        c = self.theta - self.beta - drift
         d = self.b_diag - 1.0
         margin = abs(d) - abs(a) - abs(c)
         n = self.f0.size
@@ -385,41 +332,8 @@ class _StepConstants:
         """u[2] of candidate x: the truncated sweep, else the full solve."""
         u2 = self.truncated_node2(x)
         if u2 is None:
-            u2 = float(_solve_candidate(self.state, self.p, self.g, self.w, x)[2])
+            u2 = float(self.level(x)[2])
         return u2
-
-
-def _omega_parts(
-    state: StepState,
-    v_next_iterate: np.ndarray,
-    p: ModelParams,
-    g: GridSpec,
-    w: StepWeights,
-) -> tuple[float, float, float]:
-    """Numerator, denominator, and denominator scale of the boundary update."""
-    u = np.asarray(v_next_iterate, dtype=float)
-    if u.size != state.v_curr.size:
-        raise ValidationError(["iterate length must match the grid"])
-    return _StepConstants(state, p, g, w).omega_parts(u[0], u[2])
-
-
-def free_boundary_update(
-    state: StepState,
-    v_next_iterate: np.ndarray,
-    p: ModelParams,
-    g: GridSpec,
-    w: StepWeights,
-) -> float:
-    """Candidate boundary position from the current iterate's node values.
-
-    v_next_iterate is the full candidate level (node 0 holding 1 - xf of the
-    iterate); only nodes 0 and 2 enter the update. Raises
-    DenominatorNearZeroError when the update degenerates.
-    """
-    omega1, omega2, scale = _omega_parts(state, v_next_iterate, p, g, w)
-    if abs(omega2) < _DENOM_FLOOR * scale:
-        raise DenominatorNearZeroError(state.n, omega2, scale)
-    return omega1 / omega2
 
 
 def initial_state(p: ModelParams, g: GridSpec, w: StepWeights) -> StepState:
@@ -430,24 +344,6 @@ def initial_state(p: ModelParams, g: GridSpec, w: StepWeights) -> StepState:
         acc=empty_history(g.M + 1, w),
         n=0,
     )
-
-
-def _solve_candidate(
-    state: StepState,
-    p: ModelParams,
-    g: GridSpec,
-    w: StepWeights,
-    x: float,
-) -> np.ndarray:
-    """The level for boundary x: its interior rows solved straight from their
-    constant bands, with no TridiagonalSystem built."""
-    rows = _row_coefficients(p, g, x, state.xf_curr)
-    u = np.empty(g.M + 1)
-    u[0] = 1.0 - x
-    u[-1] = 0.0
-    rhs = _level_rhs(state, rows, w, 1.0 - x)
-    solve_constant_bands(rows.lower, rows.diag - 1.0, rows.upper, rhs, u[1:-1])
-    return u
 
 
 def time_step(
@@ -463,9 +359,10 @@ def time_step(
     fixed-point step, then secant steps on R(x) = Omega1 - x*Omega2 with a
     bisection safeguard once a sign change is bracketed. Each iterate reads
     u[2] from a truncated sweep; only the converged boundary gets a full solve.
+    The memory enters through state.acc, so w does not enter the step.
     """
     opts = opts or FixedPointOptions()
-    step = _StepConstants(state, p, g, w)
+    step = _StepConstants(state, p, g)
     x = state.xf_curr
     x_prev: float | None = None
     r_prev = 0.0
@@ -508,16 +405,15 @@ def time_step(
             state.n, opts.max_iter, (x_prev if x_prev is not None else x, x)
         )
 
-    u = _solve_candidate(state, p, g, w, xf_next)
-    closure = boundary_node_update(state, xf_next, p, g, w)
+    u = step.level(xf_next)
     stats = StepStats(
         iterations=iterations,
-        closure_residual=abs(u[1] - closure),
+        closure_residual=abs(u[1] - (step.g0 + step.g1 * xf_next)),
         denominator_warning=warned,
         min_abs_denominator=min_abs_den,
     )
-    # classical steps have decay 0: the sums stay zero, so nothing is pushed
-    acc = history_push(state.acc, u, state.v_curr) if isinstance(w, CFWeights) else state.acc
+    # with decay 0 (classical) the sums stay zero, so nothing is pushed
+    acc = history_push(state.acc, u, state.v_curr) if state.acc.decay != 0 else state.acc
     return StepState(
         v_curr=u,
         xf_curr=xf_next,

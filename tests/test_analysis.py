@@ -211,6 +211,12 @@ class TestTruncationStudy:
         by_y = {row.Y: row.xf_final for row in rows}
         assert abs(by_y[4.0] - by_y[2.0]) <= abs(by_y[2.0] - by_y[1.0]) + 1e-15
 
+    def test_rows_keep_input_order(self, base_params):
+        ordered = y_truncation_study(base_params, 60, 10.0, [1.0, 2.0, 4.0])
+        shuffled = y_truncation_study(base_params, 60, 10.0, [2.0, 4.0, 1.0])
+        assert [r.Y for r in shuffled] == [2.0, 4.0, 1.0]
+        assert [r.xf_final for r in shuffled] == [ordered[i].xf_final for i in (1, 2, 0)]
+
     def test_rejects_bad_bounds(self, base_params):
         with pytest.raises(ValidationError):
             y_truncation_study(base_params, 40, 10.0, [])

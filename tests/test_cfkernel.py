@@ -181,13 +181,13 @@ class TestDerivativeApply:
             assert coarse / fine == pytest.approx(4.0, rel=0.1)
             assert coarse / fine > 1.8  # at least first order
 
-    def test_classical_mode_is_backward_difference(self):
+    def test_classical_weights_rejected(self):
+        # classical mode keeps no history (decay 0), so there is nothing to apply
         w = cf_weights(1.0, 0.25)
         acc = empty_history(2, w)
         acc = history_push(acc, np.array([2.0, 3.0]), np.array([1.0, 1.0]))
-        assert cf_derivative_apply(acc, w) == pytest.approx(
-            np.array([4.0, 8.0]), rel=1e-15
-        )
+        with pytest.raises(ValidationError):
+            cf_derivative_apply(acc, w)
 
     def test_near_one_matches_backward_difference(self):
         dtau = 0.01

@@ -71,8 +71,7 @@ class TestSolveMode:
 
     def test_determinism_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "one", tmp_path / "two"
-        args = ["solve", "--alpha", "1.0", "--M", "40", "--mu", "10",
-                "--seed", "7"]
+        args = ["solve", "--alpha", "1.0", "--M", "40", "--mu", "10"]
         assert run_cli(args + ["--out", str(out1)]) == 0
         assert run_cli(args + ["--out", str(out2)]) == 0
         for name in ("surface.csv", "boundary.csv", "summary.json"):
@@ -119,28 +118,6 @@ class TestOtherModes:
         payload = json.loads((tmp_path / "oracle_compare.json").read_text())
         assert payload["european"] <= payload["binomial"] + 1e-6
         assert abs(payload["front_fixing"] - payload["binomial"]) < 5e-3
-
-
-class TestConcurrency:
-    def test_thread_cap_preserves_results(self, base_params, monkeypatch):
-        from fronfix.analysis import y_truncation_study
-
-        monkeypatch.setenv("FRONFIX_THREADS", "1")
-        serial = y_truncation_study(base_params, 60, 10.0, [1.0, 2.0, 4.0])
-        monkeypatch.setenv("FRONFIX_THREADS", "3")
-        threaded = y_truncation_study(base_params, 60, 10.0, [1.0, 2.0, 4.0])
-        assert [r.xf_final for r in serial] == [r.xf_final for r in threaded]
-        assert [r.Y for r in threaded] == [1.0, 2.0, 4.0]  # input order kept
-
-    def test_worker_count_parsing(self, monkeypatch):
-        from fronfix.parallel import worker_count
-
-        monkeypatch.setenv("FRONFIX_THREADS", "5")
-        assert worker_count() == 5
-        monkeypatch.setenv("FRONFIX_THREADS", "0")
-        assert worker_count() >= 1
-        monkeypatch.setenv("FRONFIX_THREADS", "junk")
-        assert worker_count() >= 1
 
 
 class TestEmission:

@@ -9,20 +9,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fronfix.scheme as scheme
-from fronfix.cfkernel import CFWeights, HistoryAccumulator, cf_weights, history_push
+from fronfix.cfkernel import (
+    CFWeights,
+    HistoryAccumulator,
+    cf_weights,
+    empty_history,
+    history_push,
+)
 from fronfix.errors import DenominatorNearZeroError, FronfixError, ValidationError
 from fronfix.model import ModelParams, build_grid
 from fronfix.scheme import (
     FixedPointOptions,
     SchemeCoefficients,
     StepState,
-    _row_coefficients,
-    _solve_candidate,
     _StepConstants,
-    assemble_step,
-    boundary_node_update,
     coefficients,
-    free_boundary_update,
     initial_state,
     price_at,
     run_solver,
@@ -38,10 +39,30 @@ def make_setup(p, M=10, mu=2.0, Y=1.0):
     return g, w
 
 
-def row_triple(c, w):
-    """The q-scaled triple divided by rho: the rows assemble_step takes."""
-    eta = 1.0 / w.decay
-    return SchemeCoefficients(upper=eta * c.upper, diag=eta * c.diag, lower=eta * c.lower)
+def step_rows(p, g, w, xf_next, xf_curr):
+    """The stepper's row triple (A, B, C), as the step constants build it."""
+    v = np.zeros(g.M + 1)
+    v[0] = 1.0 - xf_curr
+    state = StepState(v_curr=v, xf_curr=xf_curr, acc=empty_history(g.M + 1, w), n=0)
+    step = _StepConstants(state, p, g)
+    upper, lower, _ = step.bands(xf_next)
+    return SchemeCoefficients(upper=upper, diag=step.b_diag, lower=lower)
+
+
+def level_system(monkeypatch, step, x):
+    """The bands and right-hand side the step constants hand to the solver
+    when they build the level for boundary x."""
+    seen = {}
+    solve = scheme.solve_constant_bands
+
+    def capture(lower, diag, upper, rhs, out):
+        seen.update(lower=lower, diag=diag, upper=upper, rhs=rhs.copy())
+        return solve(lower, diag, upper, rhs, out)
+
+    monkeypatch.setattr(scheme, "solve_constant_bands", capture)
+    step.level(x)
+    monkeypatch.setattr(scheme, "solve_constant_bands", solve)
+    return seen
 
 
 class TestCoefficients:
@@ -114,8 +135,11 @@ class TestCoefficients:
         p = fractional_params
         g, w = make_setup(p, M=100, mu=20.0, Y=4.0)
         for xf_n, xf_c in ((0.93, 0.97), (1.0, 1.0), (0.5, 0.45)):
-            expected = row_triple(coefficients(p, g, xf_n, xf_c), w)
-            rows = _row_coefficients(p, g, xf_n, xf_c)
+            c = coefficients(p, g, xf_n, xf_c)
+            expected = SchemeCoefficients(
+                upper=c.upper / w.decay, diag=c.diag / w.decay, lower=c.lower / w.decay
+            )
+            rows = step_rows(p, g, w, xf_n, xf_c)
             assert rows.upper == pytest.approx(expected.upper, rel=1e-14)
             assert rows.diag == pytest.approx(expected.diag, rel=1e-14)
             assert rows.lower == pytest.approx(expected.lower, rel=1e-14)
@@ -123,8 +147,8 @@ class TestCoefficients:
     def test_row_triple_stays_finite_as_alpha_nears_one(self, base_params):
         # q and 1/rho overflow here; the row weight tends to dtau*alpha
         p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=1.0, alpha=0.999999)
-        g, _ = make_setup(p, M=50, mu=10.0, Y=4.0)
-        rows = _row_coefficients(p, g, 0.9, 1.0)
+        g, w = make_setup(p, M=50, mu=10.0, Y=4.0)
+        rows = step_rows(p, g, w, 0.9, 1.0)
         classical = coefficients(base_params, g, 0.9, 1.0)
         assert rows.upper == pytest.approx(classical.upper, rel=2e-6)
         assert rows.diag == pytest.approx(classical.diag, rel=2e-6)
@@ -139,24 +163,22 @@ class TestCoefficients:
 
 
 class TestAssemble:
-    def test_first_step_rhs_structure(self, fractional_params):
+    def test_first_step_rhs_structure(self, fractional_params, monkeypatch):
         # all-zero initial level: only the m=1 row carries the boundary term
         p = fractional_params
         g, w = make_setup(p, M=6)
-        state = initial_state(p, g, w)
-        xf_next = 1.0
-        c = coefficients(p, g, xf_next, 1.0)
-        sys = assemble_step(state, row_triple(c, w), w, v0_next=1.0 - xf_next)
-        assert np.all(sys.rhs == 0.0)
+        step = _StepConstants(initial_state(p, g, w), p, g)
+        sys = level_system(monkeypatch, step, 1.0)
+        assert np.all(sys["rhs"] == 0.0)
 
         xf_next = 0.9
         c = coefficients(p, g, xf_next, 1.0)
-        sys = assemble_step(state, row_triple(c, w), w, v0_next=1.0 - xf_next)
+        sys = level_system(monkeypatch, step, xf_next)
         scaled_lower = c.lower / w.decay
-        assert sys.rhs[0] == pytest.approx(-scaled_lower * (1.0 - xf_next), rel=1e-14)
-        assert np.all(sys.rhs[1:] == 0.0)
+        assert sys["rhs"][0] == pytest.approx(-scaled_lower * (1.0 - xf_next), rel=1e-14)
+        assert np.all(sys["rhs"][1:] == 0.0)
 
-    def test_minimal_grid_rows_by_hand(self, fractional_params):
+    def test_minimal_grid_rows_by_hand(self, fractional_params, monkeypatch):
         # M = 4: three interior rows expanded literally from the scheme row
         p = fractional_params
         g, w = make_setup(p, M=4, mu=1.0, Y=1.0)
@@ -166,7 +188,7 @@ class TestAssemble:
         xf_c = state.xf_curr
         xf_n = 0.97 * xf_c
         c = coefficients(p, g, xf_n, xf_c)
-        sys = assemble_step(state, row_triple(c, w), w, v0_next=1.0 - xf_n)
+        sys = level_system(monkeypatch, _StepConstants(state, p, g), xf_n)
 
         eta = 1.0 / w.decay
         a_h, b_h, c_h = eta * c.upper, eta * c.diag, eta * c.lower
@@ -176,10 +198,11 @@ class TestAssemble:
             )
             if m == 1:
                 expected -= c_h * (1.0 - xf_n)
-            assert sys.rhs[m - 1] == pytest.approx(expected, rel=1e-13, abs=1e-15)
-        assert np.all(sys.diag == b_h - 1.0)
-        assert np.all(sys.super == a_h)
-        assert np.all(sys.sub == c_h)
+            assert sys["rhs"][m - 1] == pytest.approx(expected, rel=1e-13, abs=1e-15)
+        assert sys["rhs"].size == 3
+        assert sys["diag"] == pytest.approx(b_h - 1.0, rel=1e-14)
+        assert sys["upper"] == pytest.approx(a_h, rel=1e-14)
+        assert sys["lower"] == pytest.approx(c_h, rel=1e-14)
 
 
 class TestBoundaryClosure:
@@ -187,26 +210,31 @@ class TestBoundaryClosure:
         # v1 = 1 - (1+dy)x + (dy^2/sigma^2)(r - sigma^2 x/2)
         p = base_params
         g, w = make_setup(p, M=100, mu=20.0, Y=4.0)
-        state = initial_state(p, g, w)
+        step = _StepConstants(initial_state(p, g, w), p, g)
         for x in (1.0, 0.95, 0.8):
             expected = 1.0 - (1.0 + g.dy) * x + (g.dy**2 / p.sigma**2) * (
                 p.r - p.sigma**2 * x / 2.0
             )
-            got = boundary_node_update(state, x, p, g, w)
-            assert got == pytest.approx(expected, rel=1e-14)
+            assert step.g0 + step.g1 * x == pytest.approx(expected, rel=1e-14)
 
     def test_closure_consistent_with_perpetual_profile(self):
         # for the infinite-horizon put the boundary relation is exact:
         # v(y) = e^(-gamma*y)/(gamma+1), X_f = gamma/(gamma+1), gamma = 2r/sigma^2
         p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=1.0)
         g, w = make_setup(p, M=400, mu=20.0, Y=4.0)
-        state = initial_state(p, g, w)
+        step = _StepConstants(initial_state(p, g, w), p, g)
         gamma = 2.0 * p.r / p.sigma**2
         xf_inf = gamma / (gamma + 1.0)
         v1_true = math.exp(-gamma * g.dy) / (gamma + 1.0) * (1.0 + 0.0)
-        v1_closure = boundary_node_update(state, xf_inf, p, g, w)
+        v1_closure = step.g0 + step.g1 * xf_inf
         # second-order agreement in dy
         assert v1_closure == pytest.approx(v1_true, abs=5.0 * g.dy**3 + 1e-6)
+
+
+def boundary_update(state, u, p, g):
+    """The boundary update Omega1/Omega2 for a candidate level u."""
+    om1, om2, _ = _StepConstants(state, p, g).omega_parts(u[0], u[2])
+    return om1 / om2
 
 
 class TestFreeBoundaryUpdate:
@@ -217,9 +245,7 @@ class TestFreeBoundaryUpdate:
         state = time_step(initial_state(p, g, w), p, g, w)
         u = state.v_curr.copy()  # any plausible iterate
 
-        from fronfix.scheme import _omega_parts
-
-        om1, om2, _ = _omega_parts(state, u, p, g, w)
+        om1, om2, _ = _StepConstants(state, p, g).omega_parts(u[0], u[2])
         # shift the stored history sum at node 1 to force om1 == om2
         sums = state.acc.sums.copy()
         sums[1] += om2 - om1
@@ -229,11 +255,11 @@ class TestFreeBoundaryUpdate:
         state2 = state.__class__(
             v_curr=state.v_curr, xf_curr=state.xf_curr, acc=doctored, n=state.n,
         )
-        assert free_boundary_update(state2, u, p, g, w) == pytest.approx(1.0, rel=1e-12)
+        assert boundary_update(state2, u, p, g) == pytest.approx(1.0, rel=1e-12)
 
     def test_symbolic_elimination_oracle(self):
         # solve the m=1 row plus the boundary closure for xf symbolically and
-        # compare against the implementation on random states
+        # compare against the boundary time_step converges to
         a_s, b_s, th, be, om, xf_c, g0, g1 = sp.symbols(
             "A B theta beta omega xf_curr g0 g1"
         )
@@ -262,20 +288,9 @@ class TestFreeBoundaryUpdate:
         g1_v = -(1.0 + g.dy) - g.dy**2 / 2
         g0_v = 1.0 + (g.dy**2 / p.sigma**2) * p.r
 
-        # fixed point of the implementation
-        xf_star = state.xf_curr
-        for _ in range(200):
-            u = state.v_curr.copy()
-            # iterate the full update to its own fixed point
-            from fronfix.scheme import _solve_candidate
-
-            u = _solve_candidate(state, p, g, w, xf_star)
-            new = free_boundary_update(state, u, p, g, w)
-            if abs(new - xf_star) < 1e-14:
-                break
-            xf_star = new
-
-        u = _solve_candidate(state, p, g, w, xf_star)
+        # the stepper's fixed point and its level
+        stepped = time_step(state, p, g, w, FixedPointOptions(tol_xf=1e-14))
+        xf_star, u = stepped.xf_curr, stepped.v_curr
         subs = {
             th: theta_v, be: beta_v, om: omega_v, b_s: b_v, xf_c: state.xf_curr,
             g0: g0_v, g1: g1_v, u2: u[2], v0: state.v_curr[0], v1: state.v_curr[1],
@@ -311,24 +326,23 @@ class TestFreeBoundaryUpdate:
         om1 = -theta * total - beta * diff + omega * diff - (b_v - 1.0) * g0_v
         expected = om1 / om2
 
-        got = free_boundary_update(state, u, p, g, w)
+        got = boundary_update(state, u, p, g)
         assert got == pytest.approx(expected, rel=1e-14)
 
-    def test_denominator_floor_raises(self, base_params):
+    def test_denominator_floor_raises(self, base_params, monkeypatch):
         p = base_params
         g, w = make_setup(p, M=8, mu=2.0, Y=1.0)
         state = initial_state(p, g, w)
-        # craft an iterate whose node spread cancels the closure slope term
+        # hand the stepper a candidate u[2] whose node spread cancels the
+        # closure slope term (u[0] = 1 - xf = 0 and v = 0 at the first step)
         qe = g.dtau
         b_v = -(qe / 2) * (p.sigma**2 / g.dy**2 + p.r)
         g1_v = -(1.0 + g.dy) - g.dy**2 / 2
         omega_v = qe / (4 * g.dy * g.dtau * state.xf_curr)
         target_diff = -(b_v - 1.0) * g1_v / omega_v
-        u = state.v_curr.copy()
-        u = np.array(u)
-        u[2] = target_diff + u[0]  # diff = (u2+v2)-(u0+v0) with v=0
+        monkeypatch.setattr(_StepConstants, "node2", lambda self, x: target_diff)
         with pytest.raises(DenominatorNearZeroError) as err:
-            free_boundary_update(state, u, p, g, w)
+            time_step(state, p, g, w)
         assert err.value.step == 0
 
 
@@ -355,8 +369,6 @@ class TestTimeStep:
         g, w = make_setup(p, M=16, mu=1.0, Y=4.0)
         state = time_step(initial_state(p, g, w), p, g, w)
 
-        from fronfix.scheme import _omega_parts, _solve_candidate
-
         def with_shift(shift: float):
             sums = state.acc.sums.copy()
             sums[1] += shift
@@ -372,8 +384,9 @@ class TestTimeStep:
         shift = 0.0
         for _ in range(60):
             frozen = with_shift(shift)
-            u = _solve_candidate(frozen, p, g, w, state.xf_curr)
-            om1, om2, _ = _omega_parts(frozen, u, p, g, w)
+            step = _StepConstants(frozen, p, g)
+            u = step.level(state.xf_curr)
+            om1, om2, _ = step.omega_parts(u[0], u[2])
             miss = state.xf_curr * om2 - om1
             if abs(om1 / om2 - state.xf_curr) < 1e-13:
                 break
@@ -409,9 +422,9 @@ def synthetic_state(p, g, w, xf, seed):
     return StepState(v_curr=v, xf_curr=xf, acc=acc, n=3)
 
 
-def row_margin(p, g, x, xf):
-    rows = _row_coefficients(p, g, x, xf)
-    return abs(rows.diag - 1.0) - abs(rows.upper) - abs(rows.lower)
+def row_margin(step, x):
+    upper, lower, _ = step.bands(x)
+    return abs(step.b_diag - 1.0) - abs(upper) - abs(lower)
 
 
 class TestTruncatedSweep:
@@ -430,11 +443,11 @@ class TestTruncatedSweep:
         p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=1.0, alpha=alpha)
         g, w = make_setup(p, M=M, mu=mu, Y=4.0)
         state = synthetic_state(p, g, w, xf, seed)
-        step = _StepConstants(state, p, g, w)
+        step = _StepConstants(state, p, g)
         x = xf + delta
-        full = _solve_candidate(state, p, g, w, x)[2]
+        full = step.level(x)[2]
         truncated = step.truncated_node2(x)
-        if row_margin(p, g, x, xf) <= 0.0:
+        if row_margin(step, x) <= 0.0:
             assert truncated is None
         if truncated is None:
             assert step.node2(x) == full
@@ -581,6 +594,15 @@ class TestAgainstTree:
 
 
 class TestPricing:
+    @settings(max_examples=25, deadline=None)
+    @given(E=st.floats(0.5, 200.0))
+    @example(E=10.0)
+    def test_price_over_strike_ignores_the_strike_at_the_default_bound(self, E):
+        # y = ln(X/X*) has no units, so the default truncation must not grow with E
+        unit = run_solver(ModelParams(r=0.1, sigma=0.2, E=1.0, T=1.0), 100, 20.0)
+        run = run_solver(ModelParams(r=0.1, sigma=0.2, E=E, T=1.0), 100, 20.0)
+        assert price_at(run, E) / E == pytest.approx(price_at(unit, 1.0), rel=1e-12)
+
     def test_intrinsic_below_boundary(self, base_params):
         run = run_solver(base_params, 50, 20.0, 4.0)
         xf_T = run.surface.xf[-1]
