@@ -105,14 +105,6 @@ class GridSpec:
     dtau: float
     N: int
 
-    @property
-    def y_nodes(self) -> np.ndarray:
-        return self.dy * np.arange(self.M + 1)
-
-    @property
-    def tau_levels(self) -> np.ndarray:
-        return self.dtau * np.arange(self.N + 1)
-
 
 def _guarded_ceil(x: float) -> int:
     # bare ceil() bumps exact divisions by one step due to binary rounding

@@ -7,6 +7,7 @@ reproduces the in-memory doubles bit for bit.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -46,17 +47,26 @@ def emit_boundary_csv(run: SolverRun, path: Path) -> None:
 
 
 def emit_surface_csv(run: SolverRun, path: Path) -> None:
-    """Columns: n, m, y, v, V (= E*v); n ascending then m ascending."""
-    E = run.params.E
-    dy = run.grid.dy
+    """Columns: n, m, y, v, V (= E*v); n ascending then m ascending.
 
-    def rows():
-        for n in range(run.surface.levels):
-            for m in range(run.surface.nodes):
-                v = run.surface.v[n, m]
-                yield (str(n), str(m), fmt(m * dy), fmt(v), fmt(E * v))
-
-    _write_rows(path, "n,m,y,v,V", rows())
+    Each level is one `%` call, streamed to a sibling file that replaces
+    `path` only when complete, so a failed write leaves no truncated CSV."""
+    E, v, nodes = run.params.E, run.surface.v, run.surface.nodes
+    # compared as bits, since -0.0 == 0.0 as floats but prints differently
+    reuse = np.array_equal((E * v).view(np.uint64), v.view(np.uint64))
+    tails = [f",{m},{fmt(m * run.grid.dy)},%s,%s\n" for m in range(nodes)]
+    values = "\n".join(["%.17g"] * nodes)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write("n,m,y,v,V\n")
+            for n in range(run.surface.levels):
+                vs = (values % tuple(v[n].tolist())).split("\n")
+                Vs = vs if reuse else (values % tuple((E * v[n]).tolist())).split("\n")
+                fh.write((str(n) + str(n).join(tails)) % tuple(chain.from_iterable(zip(vs, Vs))))
+        tmp.replace(path)
+    finally:
+        tmp.unlink(missing_ok=True)  # left only by a failed write
 
 
 def emit_csv(run: SolverRun, out_dir: Path) -> tuple[Path, Path]:

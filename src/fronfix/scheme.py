@@ -350,7 +350,6 @@ def time_step(
     state: StepState,
     p: ModelParams,
     g: GridSpec,
-    w: StepWeights,
     opts: FixedPointOptions | None = None,
 ) -> StepState:
     """Advance one level: solve the coupled interior/boundary system.
@@ -359,7 +358,7 @@ def time_step(
     fixed-point step, then secant steps on R(x) = Omega1 - x*Omega2 with a
     bisection safeguard once a sign change is bracketed. Each iterate reads
     u[2] from a truncated sweep; only the converged boundary gets a full solve.
-    The memory enters through state.acc, so w does not enter the step.
+    The memory, and with it the order alpha, enters through state.acc.
     """
     opts = opts or FixedPointOptions()
     step = _StepConstants(state, p, g)
@@ -456,8 +455,7 @@ def run_solver(
     """
     ensure_valid_params(p)
     g = build_grid(p, M, mu, Y)
-    w = cf_weights(p.alpha, g.dtau)
-    state = initial_state(p, g, w)
+    state = initial_state(p, g, cf_weights(p.alpha, g.dtau))
     # each level is written into place, so the march never holds the surface
     # twice (a list of level copies stacked at the end peaks at double)
     v_levels = np.empty((g.N + 1, g.M + 1))
@@ -467,7 +465,7 @@ def run_solver(
     residuals: list[float] = []
     warned_steps: list[int] = []
     for n in range(1, g.N + 1):
-        state = time_step(state, p, g, w, opts)
+        state = time_step(state, p, g, opts)
         assert state.stats is not None
         v_levels[n] = state.v_curr
         xf_path.append(state.xf_curr)

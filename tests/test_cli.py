@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import struct
+import types
 import xml.etree.ElementTree as ET
 
+import numpy as np
+import pytest
+
 from fronfix.cli import run_cli
-from fronfix.model import ModelParams
-from fronfix.reporting import emit_csv, emit_plot_script
+from fronfix.model import ModelParams, SolutionSurface
+from fronfix.reporting import emit_csv, emit_plot_script, emit_surface_csv
 from fronfix.scheme import run_solver
 
 
@@ -120,6 +125,33 @@ class TestOtherModes:
         assert abs(payload["front_fixing"] - payload["binomial"]) < 5e-3
 
 
+def reference_surface_csv(run) -> bytes:
+    """surface.csv formatted one field at a time, as the writer once did."""
+    E, dy = run.params.E, run.grid.dy
+    lines = ["n,m,y,v,V\n"]
+    for n in range(run.surface.levels):
+        for m in range(run.surface.nodes):
+            v = run.surface.v[n, m]
+            fields = (m * dy, v, E * v)
+            lines.append(f"{n},{m}," + ",".join(format(float(x), ".17g") for x in fields) + "\n")
+    return "".join(lines).encode()
+
+
+def classical_run(E):
+    return run_solver(ModelParams(r=0.1, sigma=0.2, E=E, T=1.0, alpha=1.0), 40, 10.0, 4.0)
+
+
+def hand_built_run(E):
+    # signed zeros, the smallest subnormal, a huge value and nan
+    run = classical_run(E)
+    v = np.array([
+        [0.0, -0.0, 0.0, 0.0],
+        [0.25, 5e-324, 1e300, -0.0],
+        [0.5, np.nan, -0.0, 0.0],
+    ])
+    return dataclasses.replace(run, surface=SolutionSurface(v, np.array([1.0, 0.75, 0.5])))
+
+
 class TestEmission:
     def run(self, base_params, M=8, mu=4.0, Y=1.0):
         p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=0.5, alpha=1.0)
@@ -139,6 +171,34 @@ class TestEmission:
             n = int(row["n"])
             assert float(row["xf"]) == run.surface.xf[n]
             assert float(row["Xstar"]) == run.params.E * run.surface.xf[n]
+
+    @pytest.mark.parametrize("make_run, E", [
+        (classical_run, 1.0),  # V reuses the v strings
+        (classical_run, 100.0),  # V formatted on its own
+        (hand_built_run, 1.0),
+        (hand_built_run, 3.0),
+    ])
+    def test_surface_bytes_match_field_by_field_reference(self, make_run, E, tmp_path):
+        run = make_run(E)
+        emit_surface_csv(run, tmp_path / "surface.csv")
+        assert (tmp_path / "surface.csv").read_bytes() == reference_surface_csv(run)
+
+    def test_failed_surface_write_leaves_no_file(self, tmp_path):
+        class FailsAtLevel2(np.ndarray):
+            def __getitem__(self, index):
+                if isinstance(index, int) and index == 2:
+                    raise RuntimeError("interrupted at level 2")
+                return super().__getitem__(index)
+
+        run = classical_run(1.0)
+        surface = types.SimpleNamespace(
+            v=run.surface.v.view(FailsAtLevel2),
+            levels=run.surface.levels,
+            nodes=run.surface.nodes,
+        )
+        with pytest.raises(RuntimeError, match="level 2"):
+            emit_surface_csv(dataclasses.replace(run, surface=surface), tmp_path / "surface.csv")
+        assert list(tmp_path.iterdir()) == []
 
     def test_row_counts_and_order(self, base_params, tmp_path):
         # one-step run on a 4-node grid: 2 boundary rows, 10 surface rows

@@ -183,7 +183,7 @@ class TestAssemble:
         p = fractional_params
         g, w = make_setup(p, M=4, mu=1.0, Y=1.0)
         state0 = initial_state(p, g, w)
-        state = time_step(state0, p, g, w)  # builds a genuine history
+        state = time_step(state0, p, g)  # builds a genuine history
         v = state.v_curr
         xf_c = state.xf_curr
         xf_n = 0.97 * xf_c
@@ -242,7 +242,7 @@ class TestFreeBoundaryUpdate:
         # doctor the node-1 history so the numerator equals the denominator
         p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=0.5, alpha=0.6)
         g, w = make_setup(p, M=16, mu=1.0, Y=4.0)
-        state = time_step(initial_state(p, g, w), p, g, w)
+        state = time_step(initial_state(p, g, w), p, g)
         u = state.v_curr.copy()  # any plausible iterate
 
         om1, om2, _ = _StepConstants(state, p, g).omega_parts(u[0], u[2])
@@ -278,7 +278,7 @@ class TestFreeBoundaryUpdate:
 
         p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=0.5, alpha=0.7)
         g, w = make_setup(p, M=10, mu=3.0, Y=2.0)
-        state = time_step(initial_state(p, g, w), p, g, w)
+        state = time_step(initial_state(p, g, w), p, g)
 
         qe = g.dtau * p.alpha / (1.0 - w.decay)
         theta_v = qe * p.sigma**2 / (4 * g.dy**2)
@@ -289,7 +289,7 @@ class TestFreeBoundaryUpdate:
         g0_v = 1.0 + (g.dy**2 / p.sigma**2) * p.r
 
         # the stepper's fixed point and its level
-        stepped = time_step(state, p, g, w, FixedPointOptions(tol_xf=1e-14))
+        stepped = time_step(state, p, g, FixedPointOptions(tol_xf=1e-14))
         xf_star, u = stepped.xf_curr, stepped.v_curr
         subs = {
             th: theta_v, be: beta_v, om: omega_v, b_s: b_v, xf_c: state.xf_curr,
@@ -342,7 +342,7 @@ class TestFreeBoundaryUpdate:
         target_diff = -(b_v - 1.0) * g1_v / omega_v
         monkeypatch.setattr(_StepConstants, "node2", lambda self, x: target_diff)
         with pytest.raises(DenominatorNearZeroError) as err:
-            time_step(state, p, g, w)
+            time_step(state, p, g)
         assert err.value.step == 0
 
 
@@ -350,7 +350,7 @@ class TestTimeStep:
     def test_first_step_completes_below_one(self, base_params, fractional_params):
         for p in (base_params, fractional_params):
             g, w = make_setup(p, M=50, mu=20.0, Y=4.0)
-            state = time_step(initial_state(p, g, w), p, g, w)
+            state = time_step(initial_state(p, g, w), p, g)
             assert state.n == 1
             assert 0.0 < state.xf_curr <= 1.0
             assert state.v_curr[0] == 1.0 - state.xf_curr
@@ -358,7 +358,7 @@ class TestTimeStep:
 
     def test_closure_residual_vanishes_at_fixed_point(self, base_params):
         g, w = make_setup(base_params, M=50, mu=20.0, Y=4.0)
-        state = time_step(initial_state(base_params, g, w), base_params, g, w)
+        state = time_step(initial_state(base_params, g, w), base_params, g)
         assert state.stats is not None
         assert state.stats.closure_residual < 1e-8
 
@@ -367,7 +367,7 @@ class TestTimeStep:
         # boundary exactly: the inner loop must exit after one evaluation
         p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=0.5, alpha=0.6)
         g, w = make_setup(p, M=16, mu=1.0, Y=4.0)
-        state = time_step(initial_state(p, g, w), p, g, w)
+        state = time_step(initial_state(p, g, w), p, g)
 
         def with_shift(shift: float):
             sums = state.acc.sums.copy()
@@ -391,7 +391,7 @@ class TestTimeStep:
             if abs(om1 / om2 - state.xf_curr) < 1e-13:
                 break
             shift += miss
-        stepped = time_step(frozen, p, g, w)
+        stepped = time_step(frozen, p, g)
         assert stepped.stats.iterations == 1
         assert stepped.xf_curr == pytest.approx(state.xf_curr, abs=1e-10)
 
@@ -401,7 +401,7 @@ class TestTimeStep:
         g, w = make_setup(base_params, M=50, mu=20.0, Y=4.0)
         with pytest.raises(NonConvergenceError) as err:
             time_step(
-                initial_state(base_params, g, w), base_params, g, w,
+                initial_state(base_params, g, w), base_params, g,
                 FixedPointOptions(tol_xf=1e-16, max_iter=3),
             )
         assert err.value.step == 0
@@ -480,7 +480,7 @@ class TestRunSolver:
         state = initial_state(p, g, w)
         levels = [state.v_curr]
         for _ in range(g.N):
-            nxt = time_step(state, p, g, w)
+            nxt = time_step(state, p, g)
             acc = history_push(state.acc, nxt.v_curr, state.v_curr)
             state = StepState(v_curr=nxt.v_curr, xf_curr=nxt.xf_curr, acc=acc, n=nxt.n)
             levels.append(state.v_curr)
@@ -564,7 +564,7 @@ class TestRunSolver:
         g, w = run.grid, cf_weights(p.alpha, run.grid.dtau)
         state = initial_state(p, g, w)
         for n in range(1, 4):
-            state = time_step(state, p, g, w)
+            state = time_step(state, p, g)
             assert np.array_equal(run.surface.v[n], state.v_curr)
         assert run.surface.v.shape == (g.N + 1, g.M + 1)
 
