@@ -16,9 +16,7 @@ from .analysis import (
 )
 from .cfkernel import (
     CFWeights,
-    ClassicalStep,
     HistoryAccumulator,
-    cf_derivative_apply,
     cf_weights,
     empty_history,
     history_push,
@@ -59,6 +57,6 @@ from .scheme import (
     run_solver,
     time_step,
 )
-from .tridiag import TridiagonalSystem, solve_constant_bands, solve_tridiagonal
+from .tridiag import solve_constant_bands
 
 __version__ = "0.1.0"

@@ -9,7 +9,9 @@ with geometric weights rho = exp(-alpha*dtau/(1-alpha)) and prefactor
 P = (exp(alpha*dtau/(1-alpha)) - 1) / (dtau*alpha). The truncation error of
 this quadrature is O(dtau) and independent of alpha; for a series linear in
 time it is exact. As alpha -> 1 the weights collapse (rho -> 0, P*rho -> 1/dtau)
-and the operator tends to the one-step backward difference.
+and the operator tends to the one-step backward difference. The classical mode
+alpha = 1 is that limit taken exactly: its weights have decay 0 (and an
+infinite prefactor), so its accumulated sums stay exact zeros.
 
 The weighted sum is accumulated recursively: pushing a new level multiplies the
 running sum by rho and adds the newest increment, so a time march costs O(1)
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -32,50 +34,31 @@ from .errors import ValidationError
 
 __all__ = [
     "CFWeights",
-    "ClassicalStep",
-    "StepWeights",
     "HistoryAccumulator",
     "cf_weights",
     "empty_history",
     "history_sum_naive",
     "history_push",
-    "cf_derivative_apply",
 ]
 
 
 @dataclass(frozen=True)
 class CFWeights:
-    """Discretization constants for fractional order alpha in (0,1)."""
+    """Discretization constants for order alpha in (0,1]."""
 
     alpha: float
     dtau: float
-    decay: float       # rho = exp(-alpha*dtau/(1-alpha)), in (0,1)
+    decay: float       # rho = exp(-alpha*dtau/(1-alpha)), in [0,1); 0 at alpha = 1
     prefactor: float   # P = (exp(alpha*dtau/(1-alpha)) - 1)/(dtau*alpha), 1/years
 
 
-@dataclass(frozen=True)
-class ClassicalStep:
-    """Sentinel for alpha = 1: the backward difference (v^{n+1}-v^n)/dtau.
-
-    The exponential weights are singular at alpha = 1, so the classical mode
-    is handled explicitly rather than as a numerical limit.
-    """
-
-    dtau: float
-
-
-StepWeights = Union[CFWeights, ClassicalStep]
-
-
-def cf_weights(alpha: float, dtau: float) -> StepWeights:
-    """Build the discretization constants; alpha = 1 returns the classical marker."""
+def cf_weights(alpha: float, dtau: float) -> CFWeights:
+    """Build the discretization constants; alpha = 1 has decay 0."""
     if not (math.isfinite(dtau) and dtau > 0):
         raise ValidationError(["dtau must be positive"])
     if not (math.isfinite(alpha) and 0.0 < alpha <= 1.0):
         raise ValidationError(["alpha must lie in (0,1]"])
-    if alpha == 1.0:
-        return ClassicalStep(dtau=dtau)
-    expo = alpha * dtau / (1.0 - alpha)
+    expo = alpha * dtau / (1.0 - alpha) if alpha < 1.0 else math.inf
     try:
         prefactor = math.expm1(expo) / (dtau * alpha)
     except OverflowError:
@@ -106,9 +89,8 @@ class HistoryAccumulator:
         object.__setattr__(self, "sums", sums)
 
 
-def empty_history(n_nodes: int, w: StepWeights) -> HistoryAccumulator:
-    decay = w.decay if isinstance(w, CFWeights) else 0.0
-    return HistoryAccumulator(sums=np.zeros(n_nodes), level=0, decay=decay)
+def empty_history(n_nodes: int, w: CFWeights) -> HistoryAccumulator:
+    return HistoryAccumulator(sums=np.zeros(n_nodes), level=0, decay=w.decay)
 
 
 def history_sum_naive(series: Sequence[float], w: CFWeights) -> float:
@@ -116,8 +98,6 @@ def history_sum_naive(series: Sequence[float], w: CFWeights) -> float:
 
     series holds v^0..v^n; requires n >= 1.
     """
-    if not isinstance(w, CFWeights):
-        raise ValidationError(["naive history sum requires fractional weights"])
     vals = np.asarray(series, dtype=float)
     n = vals.size - 1
     if n < 1:
@@ -142,13 +122,3 @@ def history_push(
         decay=acc.decay,
     )
 
-
-def cf_derivative_apply(acc: HistoryAccumulator, w: CFWeights) -> np.ndarray:
-    """Discrete time-derivative values at the accumulator's level, per node."""
-    if not isinstance(w, CFWeights):
-        raise ValidationError(["derivative requires fractional weights"])
-    if acc.level < 1:
-        raise ValidationError(["derivative needs at least one pushed level"])
-    if acc.decay != w.decay:
-        raise ValidationError(["accumulator was built with different weights"])
-    return w.prefactor * acc.sums

@@ -24,7 +24,7 @@ from .analysis import (
     y_truncation_study,
 )
 from .errors import FronfixError, ValidationError
-from .model import ModelParams, build_grid, validate_params
+from .model import ModelParams, build_grid, ensure_valid_params
 from .oracles import binomial_american_put, european_put_closed_form, psor_american_put
 from .reporting import emit_csv, emit_plot_script, emit_study_csv, emit_summary, fmt
 from .scheme import price_at, run_solver
@@ -84,9 +84,7 @@ def _params(cfg: dict) -> ModelParams:
         r=float(cfg["r"]), sigma=float(cfg["sigma"]), E=float(cfg["E"]),
         T=float(cfg["T"]), alpha=float(cfg["alpha"]),
     )
-    report = validate_params(p)
-    if not report.valid:
-        raise ValidationError(list(report.violations))
+    ensure_valid_params(p)
     return p
 
 

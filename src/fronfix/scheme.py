@@ -78,7 +78,6 @@ import numpy as np
 
 from .cfkernel import (
     HistoryAccumulator,
-    StepWeights,
     cf_weights,
     empty_history,
     history_push,
@@ -93,7 +92,6 @@ from .model import (
     ModelParams,
     SolutionSurface,
     build_grid,
-    ensure_valid_params,
 )
 from .tridiag import _PIVOT_FLOOR, solve_constant_bands
 
@@ -129,7 +127,6 @@ class SchemeCoefficients:
 class FixedPointOptions:
     tol_xf: float = 1e-10
     max_iter: int = 50
-    damping: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -336,12 +333,13 @@ class _StepConstants(_Rows):
         return u2
 
 
-def initial_state(p: ModelParams, g: GridSpec, w: StepWeights) -> StepState:
-    """All-zero value field with the boundary at the strike."""
+def initial_state(p: ModelParams, g: GridSpec) -> StepState:
+    """All-zero value field with the boundary at the strike and an empty
+    memory for order p.alpha."""
     return StepState(
         v_curr=np.zeros(g.M + 1),
         xf_curr=1.0,
-        acc=empty_history(g.M + 1, w),
+        acc=empty_history(g.M + 1, cf_weights(p.alpha, g.dtau)),
         n=0,
     )
 
@@ -392,7 +390,8 @@ def time_step(
         if x_prev is not None and residual != r_prev:
             x_new = x - residual * (x - x_prev) / (residual - r_prev)
         else:
-            x_new = x + opts.damping * (proposal - x)
+            # not `proposal` itself: x + (proposal - x) rounds differently
+            x_new = x + (proposal - x)
         if lo is not None and hi is not None:
             a, b = (lo, hi) if lo < hi else (hi, lo)
             if not a < x_new < b:
@@ -453,9 +452,8 @@ def run_solver(
 
     Step-level failures propagate as typed errors carrying the step index.
     """
-    ensure_valid_params(p)
-    g = build_grid(p, M, mu, Y)
-    state = initial_state(p, g, cf_weights(p.alpha, g.dtau))
+    g = build_grid(p, M, mu, Y)  # validates p as well
+    state = initial_state(p, g)
     # each level is written into place, so the march never holds the surface
     # twice (a list of level copies stacked at the end peaks at double)
     v_levels = np.empty((g.N + 1, g.M + 1))

@@ -9,9 +9,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fronfix.cfkernel import (
-    CFWeights,
-    ClassicalStep,
-    cf_derivative_apply,
     cf_weights,
     empty_history,
     history_push,
@@ -45,10 +42,11 @@ class TestWeights:
                     math.expm1(expo), rel=1e-13
                 )
 
-    def test_alpha_one_returns_classical_marker(self):
-        w = cf_weights(1.0, 0.01)
-        assert isinstance(w, ClassicalStep)
-        assert w.dtau == 0.01
+    def test_alpha_one_has_decay_zero_and_infinite_prefactor(self):
+        # the classical mode is the alpha -> 1 limit, which overflow reaches first
+        for alpha in (1.0, 1.0 - 1e-12):
+            w = cf_weights(alpha, 0.01)
+            assert (w.decay, w.prefactor, w.dtau) == (0.0, math.inf, 0.01)
 
     def test_near_one_limit_is_backward_difference(self):
         # decay -> 0 and P*decay -> 1/dtau, so only the newest increment survives
@@ -146,7 +144,7 @@ class TestDerivativeApply:
         field = np.full(4, 2.5)
         for _ in range(5):
             acc = history_push(acc, field, field)
-        assert np.all(cf_derivative_apply(acc, w) == 0.0)
+        assert np.all(w.prefactor * acc.sums == 0.0)
 
     def test_linear_series_is_exact(self):
         # piecewise-linear quadrature integrates a linear function exactly
@@ -159,7 +157,7 @@ class TestDerivativeApply:
         exact = continuous_cf_derivative(lambda s: 1.0, alpha, t)
         closed = (1.0 - math.exp(-alpha * t / (1.0 - alpha))) / alpha
         assert exact == pytest.approx(closed, rel=1e-10)
-        assert cf_derivative_apply(acc, w)[0] == pytest.approx(exact, rel=1e-10)
+        assert w.prefactor * acc.sums[0] == pytest.approx(exact, rel=1e-10)
 
     def test_quadratic_series_convergence_under_halving(self):
         # manufactured smooth series: the piecewise-linear memory quadrature
@@ -176,18 +174,10 @@ class TestDerivativeApply:
                 acc = history_push(
                     acc, np.array([(n * dtau) ** 2]), np.array([((n - 1) * dtau) ** 2])
                 )
-            errors.append(abs(cf_derivative_apply(acc, w)[0] - exact))
+            errors.append(abs(w.prefactor * acc.sums[0] - exact))
         for coarse, fine in zip(errors, errors[1:]):
             assert coarse / fine == pytest.approx(4.0, rel=0.1)
             assert coarse / fine > 1.8  # at least first order
-
-    def test_classical_weights_rejected(self):
-        # classical mode keeps no history (decay 0), so there is nothing to apply
-        w = cf_weights(1.0, 0.25)
-        acc = empty_history(2, w)
-        acc = history_push(acc, np.array([2.0, 3.0]), np.array([1.0, 1.0]))
-        with pytest.raises(ValidationError):
-            cf_derivative_apply(acc, w)
 
     def test_near_one_matches_backward_difference(self):
         dtau = 0.01
@@ -195,7 +185,7 @@ class TestDerivativeApply:
         acc = empty_history(1, w)
         acc = history_push(acc, np.array([0.3]), np.array([0.1]))
         bd = (0.3 - 0.1) / dtau
-        assert cf_derivative_apply(acc, w)[0] == pytest.approx(bd, rel=1e-3)
+        assert w.prefactor * acc.sums[0] == pytest.approx(bd, rel=1e-3)
 
     @given(
         alpha=st.floats(min_value=0.1, max_value=0.9),
@@ -213,7 +203,7 @@ class TestDerivativeApply:
             acc = empty_history(1, w)
             for prev, new in zip(series, series[1:]):
                 acc = history_push(acc, np.array([new]), np.array([prev]))
-            return cf_derivative_apply(acc, w)[0]
+            return w.prefactor * acc.sums[0]
 
         combo = [ai + lam * bi for ai, bi in zip(a, b)]
         lhs = accumulate(combo)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import fronfix.scheme as scheme
 from fronfix.cfkernel import (
-    CFWeights,
     HistoryAccumulator,
     cf_weights,
     empty_history,
@@ -29,7 +28,6 @@ from fronfix.scheme import (
     run_solver,
     time_step,
 )
-from fronfix.tridiag import TridiagonalSystem
 from reference import reference_run
 
 
@@ -167,7 +165,7 @@ class TestAssemble:
         # all-zero initial level: only the m=1 row carries the boundary term
         p = fractional_params
         g, w = make_setup(p, M=6)
-        step = _StepConstants(initial_state(p, g, w), p, g)
+        step = _StepConstants(initial_state(p, g), p, g)
         sys = level_system(monkeypatch, step, 1.0)
         assert np.all(sys["rhs"] == 0.0)
 
@@ -182,7 +180,7 @@ class TestAssemble:
         # M = 4: three interior rows expanded literally from the scheme row
         p = fractional_params
         g, w = make_setup(p, M=4, mu=1.0, Y=1.0)
-        state0 = initial_state(p, g, w)
+        state0 = initial_state(p, g)
         state = time_step(state0, p, g)  # builds a genuine history
         v = state.v_curr
         xf_c = state.xf_curr
@@ -209,8 +207,8 @@ class TestBoundaryClosure:
     def test_closure_line_values(self, base_params):
         # v1 = 1 - (1+dy)x + (dy^2/sigma^2)(r - sigma^2 x/2)
         p = base_params
-        g, w = make_setup(p, M=100, mu=20.0, Y=4.0)
-        step = _StepConstants(initial_state(p, g, w), p, g)
+        g, _ = make_setup(p, M=100, mu=20.0, Y=4.0)
+        step = _StepConstants(initial_state(p, g), p, g)
         for x in (1.0, 0.95, 0.8):
             expected = 1.0 - (1.0 + g.dy) * x + (g.dy**2 / p.sigma**2) * (
                 p.r - p.sigma**2 * x / 2.0
@@ -221,8 +219,8 @@ class TestBoundaryClosure:
         # for the infinite-horizon put the boundary relation is exact:
         # v(y) = e^(-gamma*y)/(gamma+1), X_f = gamma/(gamma+1), gamma = 2r/sigma^2
         p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=1.0)
-        g, w = make_setup(p, M=400, mu=20.0, Y=4.0)
-        step = _StepConstants(initial_state(p, g, w), p, g)
+        g, _ = make_setup(p, M=400, mu=20.0, Y=4.0)
+        step = _StepConstants(initial_state(p, g), p, g)
         gamma = 2.0 * p.r / p.sigma**2
         xf_inf = gamma / (gamma + 1.0)
         v1_true = math.exp(-gamma * g.dy) / (gamma + 1.0) * (1.0 + 0.0)
@@ -241,8 +239,8 @@ class TestFreeBoundaryUpdate:
     def test_equal_parts_return_one(self, base_params):
         # doctor the node-1 history so the numerator equals the denominator
         p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=0.5, alpha=0.6)
-        g, w = make_setup(p, M=16, mu=1.0, Y=4.0)
-        state = time_step(initial_state(p, g, w), p, g)
+        g, _ = make_setup(p, M=16, mu=1.0, Y=4.0)
+        state = time_step(initial_state(p, g), p, g)
         u = state.v_curr.copy()  # any plausible iterate
 
         om1, om2, _ = _StepConstants(state, p, g).omega_parts(u[0], u[2])
@@ -278,7 +276,7 @@ class TestFreeBoundaryUpdate:
 
         p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=0.5, alpha=0.7)
         g, w = make_setup(p, M=10, mu=3.0, Y=2.0)
-        state = time_step(initial_state(p, g, w), p, g)
+        state = time_step(initial_state(p, g), p, g)
 
         qe = g.dtau * p.alpha / (1.0 - w.decay)
         theta_v = qe * p.sigma**2 / (4 * g.dy**2)
@@ -305,8 +303,8 @@ class TestFreeBoundaryUpdate:
         # with zero history and xf = 1 the update reduces to a hand-evaluable
         # expression in the candidate level values
         p = base_params
-        g, w = make_setup(p, M=8, mu=2.0, Y=1.0)
-        state = initial_state(p, g, w)
+        g, _ = make_setup(p, M=8, mu=2.0, Y=1.0)
+        state = initial_state(p, g)
         rng = np.random.default_rng(17)
         u = np.zeros(g.M + 1)
         x_it = 0.93
@@ -331,8 +329,8 @@ class TestFreeBoundaryUpdate:
 
     def test_denominator_floor_raises(self, base_params, monkeypatch):
         p = base_params
-        g, w = make_setup(p, M=8, mu=2.0, Y=1.0)
-        state = initial_state(p, g, w)
+        g, _ = make_setup(p, M=8, mu=2.0, Y=1.0)
+        state = initial_state(p, g)
         # hand the stepper a candidate u[2] whose node spread cancels the
         # closure slope term (u[0] = 1 - xf = 0 and v = 0 at the first step)
         qe = g.dtau
@@ -349,16 +347,16 @@ class TestFreeBoundaryUpdate:
 class TestTimeStep:
     def test_first_step_completes_below_one(self, base_params, fractional_params):
         for p in (base_params, fractional_params):
-            g, w = make_setup(p, M=50, mu=20.0, Y=4.0)
-            state = time_step(initial_state(p, g, w), p, g)
+            g, _ = make_setup(p, M=50, mu=20.0, Y=4.0)
+            state = time_step(initial_state(p, g), p, g)
             assert state.n == 1
             assert 0.0 < state.xf_curr <= 1.0
             assert state.v_curr[0] == 1.0 - state.xf_curr
             assert state.v_curr[-1] == 0.0
 
     def test_closure_residual_vanishes_at_fixed_point(self, base_params):
-        g, w = make_setup(base_params, M=50, mu=20.0, Y=4.0)
-        state = time_step(initial_state(base_params, g, w), base_params, g)
+        g, _ = make_setup(base_params, M=50, mu=20.0, Y=4.0)
+        state = time_step(initial_state(base_params, g), base_params, g)
         assert state.stats is not None
         assert state.stats.closure_residual < 1e-8
 
@@ -366,8 +364,8 @@ class TestTimeStep:
         # doctor the node-1 history so the first proposal equals the current
         # boundary exactly: the inner loop must exit after one evaluation
         p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=0.5, alpha=0.6)
-        g, w = make_setup(p, M=16, mu=1.0, Y=4.0)
-        state = time_step(initial_state(p, g, w), p, g)
+        g, _ = make_setup(p, M=16, mu=1.0, Y=4.0)
+        state = time_step(initial_state(p, g), p, g)
 
         def with_shift(shift: float):
             sums = state.acc.sums.copy()
@@ -398,10 +396,10 @@ class TestTimeStep:
     def test_non_convergence_carries_iterates(self, base_params):
         from fronfix.errors import NonConvergenceError
 
-        g, w = make_setup(base_params, M=50, mu=20.0, Y=4.0)
+        g, _ = make_setup(base_params, M=50, mu=20.0, Y=4.0)
         with pytest.raises(NonConvergenceError) as err:
             time_step(
-                initial_state(base_params, g, w), base_params, g,
+                initial_state(base_params, g), base_params, g,
                 FixedPointOptions(tol_xf=1e-16, max_iter=3),
             )
         assert err.value.step == 0
@@ -416,9 +414,8 @@ def synthetic_state(p, g, w, xf, seed):
     v = (1.0 - xf) * np.exp(-5.0 * y) * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, y.size))
     v[0] = 1.0 - xf
     v[-1] = 0.0
-    fractional = isinstance(w, CFWeights)
-    sums = rng.normal(0.0, 1e-3, y.size) if fractional else np.zeros(y.size)
-    acc = HistoryAccumulator(sums=sums, level=3, decay=w.decay if fractional else 0.0)
+    sums = np.zeros(y.size) if p.classical else rng.normal(0.0, 1e-3, y.size)
+    acc = HistoryAccumulator(sums=sums, level=3, decay=w.decay)
     return StepState(v_curr=v, xf_curr=xf, acc=acc, n=3)
 
 
@@ -462,11 +459,7 @@ class TestTruncatedSweep:
             calls.append(rhs.size)
             return solve(lower, diag, upper, rhs, out)
 
-        def no_system(self):
-            raise AssertionError("the march built a TridiagonalSystem")
-
         monkeypatch.setattr(scheme, "solve_constant_bands", counting)
-        monkeypatch.setattr(TridiagonalSystem, "__post_init__", no_system)
         run = run_solver(base_params, 200, 20.0, 4.0)
         assert len(calls) == run.grid.N
 
@@ -475,9 +468,9 @@ class TestRunSolver:
     @pytest.mark.parametrize("alpha", [1.0, 0.9])
     def test_only_fractional_steps_push_the_history(self, alpha, monkeypatch):
         p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=1.0, alpha=alpha)
-        g, w = make_setup(p, M=40, mu=20.0, Y=4.0)
+        g, _ = make_setup(p, M=40, mu=20.0, Y=4.0)
         # the levels of a march that pushes on every step, classical ones too
-        state = initial_state(p, g, w)
+        state = initial_state(p, g)
         levels = [state.v_curr]
         for _ in range(g.N):
             nxt = time_step(state, p, g)
@@ -561,8 +554,8 @@ class TestRunSolver:
     def test_surface_levels_are_the_marched_states(self, fractional_params):
         p = fractional_params
         run = run_solver(p, 20, 10.0, 2.0)
-        g, w = run.grid, cf_weights(p.alpha, run.grid.dtau)
-        state = initial_state(p, g, w)
+        g = run.grid
+        state = initial_state(p, g)
         for n in range(1, 4):
             state = time_step(state, p, g)
             assert np.array_equal(run.surface.v[n], state.v_curr)
