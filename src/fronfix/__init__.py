@@ -48,10 +48,8 @@ from .oracles import (
 )
 from .scheme import (
     FixedPointOptions,
-    SchemeCoefficients,
     SolverRun,
     StepState,
-    coefficients,
     initial_state,
     price_at,
     run_solver,

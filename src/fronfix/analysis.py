@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .cfkernel import cf_weights
+from .errors import DomainError, ValidationError
 from .model import GridSpec, ModelParams, SolutionSurface
-from .scheme import _effective_weight, _operator_triple, price_at, run_solver
+from .scheme import _Rows, price_at, run_solver
 
 __all__ = [
     "Lemma1Report",
@@ -72,12 +73,13 @@ def lemma1_check(
         xf_path = np.asarray(xf_path, dtype=float)
         pairs = list(zip(xf_path[1:], xf_path[:-1]))
     signs = np.empty((len(pairs), 3), dtype=int)
-    # the stepper's rows are the triple divided by rho > 0: the same signs,
-    # and finite where the q-scaled triple overflows (alpha near 1)
-    q_eff = _effective_weight(p, g)
+    # the stepper's rows are the paper's triple divided by rho > 0: the same
+    # signs, and finite where the q-scaled triple overflows (alpha near 1)
+    q_eff = cf_weights(p.alpha, g.dtau).row_weight
     for i, (xf_next, xf_curr) in enumerate(pairs):
-        c = _operator_triple(p, g, q_eff, xf_next, xf_curr)
-        signs[i] = (np.sign(c.upper), np.sign(c.diag), np.sign(c.lower))
+        rows = _Rows(p, g, q_eff, xf_curr)
+        upper, lower, _ = rows.bands(xf_next)
+        signs[i] = (np.sign(upper), np.sign(rows.b_diag), np.sign(lower))
     return Lemma1Report(cond_conv, cond_dt, signs)
 
 
@@ -181,8 +183,10 @@ def amplification_factor(q: AmplificationQuery) -> AmplificationResult:
         raise ValidationError(["b and a must be nonzero"])
     if p.classical:
         raise ValidationError(["amplification factor requires alpha < 1"])
+    prefactor = cf_weights(p.alpha, g.dtau).prefactor
+    if math.isinf(prefactor):  # inf * an underflowed memory sum would be NaN
+        raise DomainError(f"prefactor overflows at alpha = {p.alpha!r}, dtau = {g.dtau!r}")
     ratio = p.alpha / (1.0 - p.alpha)
-    prefactor = math.expm1(ratio * g.dtau) / (g.dtau * p.alpha)
     k = np.arange(1, q.n_terms + 1)
     memory = float(np.sum(np.exp(-k * g.dtau * (ratio + q.a))))
     big_k = 2.0 * prefactor * memory

@@ -13,6 +13,14 @@ and the operator tends to the one-step backward difference. The classical mode
 alpha = 1 is that limit taken exactly: its weights have decay 0 (and an
 infinite prefactor), so its accumulated sums stay exact zeros.
 
+The scheme's rows take the memory through the row weight
+q_eff = dtau*alpha/(1 - rho), the q-scaled weight q = dtau*alpha/(e^x - 1)
+divided by rho (x = alpha*dtau/(1-alpha)). It is formed from expm1(-x), so it
+stays finite where P and 1/rho overflow, and it is exactly dtau at alpha = 1.
+At decay 0 the product P * sums is inf * 0 = NaN, not the backward
+difference: the stepper never forms it, and reaches that limit through
+q_eff = dtau instead.
+
 The weighted sum is accumulated recursively: pushing a new level multiplies the
 running sum by rho and adds the newest increment, so a time march costs O(1)
 per node per step instead of O(n). The naive summation is kept as an oracle.
@@ -50,6 +58,7 @@ class CFWeights:
     dtau: float
     decay: float       # rho = exp(-alpha*dtau/(1-alpha)), in [0,1); 0 at alpha = 1
     prefactor: float   # P = (exp(alpha*dtau/(1-alpha)) - 1)/(dtau*alpha), 1/years
+    row_weight: float  # q_eff = dtau*alpha/(1 - rho), years; dtau at alpha = 1
 
 
 def cf_weights(alpha: float, dtau: float) -> CFWeights:
@@ -68,6 +77,7 @@ def cf_weights(alpha: float, dtau: float) -> CFWeights:
         dtau=dtau,
         decay=math.exp(-expo),
         prefactor=prefactor,
+        row_weight=dtau * alpha / (-math.expm1(-expo)),
     )
 
 
@@ -81,7 +91,7 @@ class HistoryAccumulator:
 
     sums: np.ndarray
     level: int
-    decay: float
+    weights: CFWeights
 
     def __post_init__(self):
         sums = np.asarray(self.sums, dtype=float)
@@ -90,7 +100,7 @@ class HistoryAccumulator:
 
 
 def empty_history(n_nodes: int, w: CFWeights) -> HistoryAccumulator:
-    return HistoryAccumulator(sums=np.zeros(n_nodes), level=0, decay=w.decay)
+    return HistoryAccumulator(sums=np.zeros(n_nodes), level=0, weights=w)
 
 
 def history_sum_naive(series: Sequence[float], w: CFWeights) -> float:
@@ -117,8 +127,8 @@ def history_push(
     if v_new.shape != acc.sums.shape or v_prev.shape != acc.sums.shape:
         raise ValidationError(["node vectors must match the accumulator length"])
     return HistoryAccumulator(
-        sums=acc.decay * (acc.sums + (v_new - v_prev)),
+        sums=acc.weights.decay * (acc.sums + (v_new - v_prev)),
         level=acc.level + 1,
-        decay=acc.decay,
+        weights=acc.weights,
     )
 

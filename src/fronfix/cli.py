@@ -107,14 +107,15 @@ def _out_dir(cfg: dict) -> Path:
 
 def _cmd_solve(cfg: dict) -> int:
     p = _params(cfg)
-    out = _out_dir(cfg)
     run = run_solver(p, int(cfg["M"]), float(cfg["mu"]), _single_Y(cfg))
+    price = price_at(run, p.E)  # a run with no price writes no file
+    out = _out_dir(cfg)
     emit_csv(run, out)
     rep = lemma1_check(p, run.grid, run.surface.xf)
     emit_summary(run, rep, out / "summary.json")
     emit_plot_script(run, out / "boundary_value.svg")
     print(f"solved: N={run.grid.N} xf(T)={fmt(run.surface.xf[-1])} "
-          f"price(S=E)={fmt(price_at(run, p.E))}")
+          f"price(S=E)={fmt(price)}")
     print(f"outputs in {out}")
     return 0
 
@@ -180,10 +181,10 @@ def _cmd_stability(cfg: dict) -> int:
 
 def _cmd_oracle_compare(cfg: dict) -> int:
     p = _params(cfg)
-    out = _out_dir(cfg)
     s0 = float(cfg["S0"]) if cfg["S0"] is not None else p.E
     run = run_solver(p, int(cfg["M"]), float(cfg["mu"]), _single_Y(cfg))
     ff_price = price_at(run, s0)
+    out = _out_dir(cfg)
     tree = binomial_american_put(p, s0, int(cfg["steps"]))
     psor = psor_american_put(p, s0, int(cfg["Ms"]), int(cfg["Nt"]), float(cfg["omega"]))
     euro = european_put_closed_form(p, s0)

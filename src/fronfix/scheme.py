@@ -1,25 +1,25 @@
 """Front-fixing Crank-Nicolson time stepper with fractional memory.
 
-Interior scheme. With q the time-normalization weight (dtau*alpha/(e^x - 1),
-x = alpha*dtau/(1-alpha), for fractional order; dtau in the classical mode)
-the per-step coefficients are
+Interior scheme. The rows take the row weight q_eff = dtau*alpha/(1 - rho)
+from cfkernel.cf_weights (dtau in the classical mode, alpha = 1); with it the
+per-step coefficients are
 
-    A = q*(sigma^2/(4 dy^2) + (r - sigma^2/2)/(4 dy) + dX/(4 dy dtau xf)),
-    C = q*(sigma^2/(4 dy^2) - (r - sigma^2/2)/(4 dy) - dX/(4 dy dtau xf)),
-    B = -(q/2)*(sigma^2/dy^2 + r),        dX = xf_next - xf_curr,
+    A = q_eff*(sigma^2/(4 dy^2) + (r - sigma^2/2)/(4 dy) + dX/(4 dy dtau xf)),
+    C = q_eff*(sigma^2/(4 dy^2) - (r - sigma^2/2)/(4 dy) - dX/(4 dy dtau xf)),
+    B = -(q_eff/2)*(sigma^2/dy^2 + r),        dX = xf_next - xf_curr,
 
 and the row for the unknown level u couples the Crank-Nicolson average of the
-spatial operator at levels n and n+1 to the exponential-memory time difference.
-The memory sum is attached to the new level, so its leading term rho*(u - v)
-is implicit; dividing the row by rho gives a single code path whose alpha -> 1
-limit is the classical Crank-Nicolson scheme:
+spatial operator at levels n and n+1 to the exponential-memory time difference:
 
-    A' u[m+1] + (B' - 1) u[m] + C' u[m-1]
-        = S[m] - v[m] - (A' v[m+1] + B' v[m] + C' v[m-1]),
+    A u[m+1] + (B - 1) u[m] + C u[m-1]
+        = S[m] - v[m] - (A v[m+1] + B v[m] + C v[m-1]),
 
-where the primed coefficients use the effective weight
-q_eff = dtau*alpha/(1 - rho) (classical: dtau) and S is the accumulated
-weighted-increment history (zero in classical mode).
+with S the accumulated weighted-increment history (zero in classical mode).
+The paper's triple, with the weight q = dtau*alpha/(e^x - 1),
+x = alpha*dtau/(1-alpha), is these rows times rho: the memory sum is attached
+to the new level, so its leading term rho*(u - v) is implicit, and dividing
+the paper's row by rho gives a single code path whose alpha -> 1 limit is the
+classical Crank-Nicolson scheme.
 
 Boundary closure. The boundary system is value matching v(0) = 1 - X_f,
 smooth pasting v_y(0) = -X_f eliminating the ghost node at the new level, and
@@ -84,6 +84,7 @@ from .cfkernel import (
 )
 from .errors import (
     DenominatorNearZeroError,
+    DomainError,
     NonConvergenceError,
     ValidationError,
 )
@@ -96,12 +97,10 @@ from .model import (
 from .tridiag import _PIVOT_FLOOR, solve_constant_bands
 
 __all__ = [
-    "SchemeCoefficients",
     "StepState",
     "StepStats",
     "FixedPointOptions",
     "SolverRun",
-    "coefficients",
     "initial_state",
     "time_step",
     "run_solver",
@@ -111,16 +110,6 @@ __all__ = [
 _DENOM_FLOOR = 1e-12
 _DENOM_WARN = 1e-6
 _UNIT_ROUNDOFF = 2.0**-53
-
-
-@dataclass(frozen=True)
-class SchemeCoefficients:
-    """Tridiagonal operator triple at one step; upper/diag/lower multiply
-    v[m+1], v[m], v[m-1]."""
-
-    upper: float
-    diag: float
-    lower: float
 
 
 @dataclass(frozen=True)
@@ -157,47 +146,8 @@ class StepState:
         object.__setattr__(self, "v_curr", v)
 
 
-def _time_weight(p: ModelParams, g: GridSpec) -> float:
-    """Kernel time weight q for the coefficient triple (classical mode: dtau)."""
-    if p.classical:
-        return g.dtau
-    expo = p.alpha * g.dtau / (1.0 - p.alpha)
-    try:
-        return g.dtau * p.alpha / math.expm1(expo)
-    except OverflowError:
-        return 0.0  # q underflows where expm1 overflows (cf_weights caps P the same way)
-
-
-def _effective_weight(p: ModelParams, g: GridSpec) -> float:
-    """Row normalization q_eff = q/rho; equals dtau in classical mode.
-
-    Built directly: q and 1/rho overflow as alpha -> 1 while their product
-    stays near dtau*alpha.
-    """
-    if p.classical:
-        return g.dtau
-    expo = p.alpha * g.dtau / (1.0 - p.alpha)
-    return g.dtau * p.alpha / (-math.expm1(-expo))
-
-
-def coefficients(
-    p: ModelParams, g: GridSpec, xf_next: float, xf_curr: float
-) -> SchemeCoefficients:
-    """Per-step operator triple (A, B, C) for the boundary pair (xf_next, xf_curr)."""
-    return _operator_triple(p, g, _time_weight(p, g), xf_next, xf_curr)
-
-
-def _operator_triple(
-    p: ModelParams, g: GridSpec, q: float, xf_next: float, xf_curr: float
-) -> SchemeCoefficients:
-    """The triple (A, B, C) for time weight q (q_eff gives the stepper's rows)."""
-    rows = _Rows(p, g, q, xf_curr)
-    upper, lower, _ = rows.bands(xf_next)
-    return SchemeCoefficients(upper=upper, diag=rows.b_diag, lower=lower)
-
-
 class _Rows:
-    """The parts of the triple fixed by the time weight q and xf_curr: theta,
+    """The parts of the rows fixed by the row weight q and xf_curr: theta,
     beta, the diagonal B and the drift's denominator."""
 
     __slots__ = ("q", "xf_curr", "theta", "beta", "b_diag", "den")
@@ -221,10 +171,10 @@ class _Rows:
 class _StepConstants(_Rows):
     """What the candidates of one time step share.
 
-    The row constants (weight q_eff), the closure line v[1] = g0 + g1*xf_next
-    and the candidate-free parts F0 and dv of the right-hand side (see the
-    module docstring) are computed once per step, so a candidate costs a
-    short scalar sweep.
+    The row constants (the accumulator's row weight q_eff), the closure line
+    v[1] = g0 + g1*xf_next and the candidate-free parts F0 and dv of the
+    right-hand side (see the module docstring) are computed once per step, so
+    a candidate costs a short scalar sweep.
     """
 
     __slots__ = (
@@ -233,7 +183,7 @@ class _StepConstants(_Rows):
     )
 
     def __init__(self, state: StepState, p: ModelParams, g: GridSpec):
-        super().__init__(p, g, _effective_weight(p, g), state.xf_curr)
+        super().__init__(p, g, state.acc.weights.row_weight, state.xf_curr)
         self.state = state
         v = state.v_curr
         self.omega = self.q / self.den
@@ -411,7 +361,7 @@ def time_step(
         min_abs_denominator=min_abs_den,
     )
     # with decay 0 (classical) the sums stay zero, so nothing is pushed
-    acc = history_push(state.acc, u, state.v_curr) if state.acc.decay != 0 else state.acc
+    acc = history_push(state.acc, u, state.v_curr) if state.acc.weights.decay else state.acc
     return StepState(
         v_curr=u,
         xf_curr=xf_next,
@@ -487,15 +437,19 @@ def price_at(run: SolverRun, S: float) -> float:
 
     Linear interpolation in y within the grid; below the exercise boundary
     the price is the intrinsic value E - S; beyond the truncation bound the
-    far-field value 0 is used.
+    far-field value 0 is used. A march that ended at a boundary that is not
+    positive has no price: that raises DomainError, a numerical failure.
     """
     if S <= 0:
         raise ValidationError(["S must be positive"])
     E = run.params.E
     xf_final = run.surface.xf[-1]
     boundary_price = E * xf_final
-    if xf_final <= 0:
-        raise ValidationError(["final boundary is nonpositive; price undefined"])
+    if not xf_final > 0:
+        raise DomainError(
+            f"final boundary xf = {xf_final:.6g} at level {run.grid.N} is "
+            "nonpositive; price undefined"
+        )
     if S <= boundary_price:
         return E - S
     y = math.log(S / boundary_price)

@@ -15,7 +15,7 @@ from fronfix.analysis import (
     observed_order,
     y_truncation_study,
 )
-from fronfix.errors import ValidationError
+from fronfix.errors import DomainError, ValidationError
 from fronfix.model import ModelParams, SolutionSurface, build_grid
 from fronfix.scheme import run_solver
 
@@ -144,6 +144,12 @@ class TestAmplification:
             amplification_factor(
                 AmplificationQuery(1.0, 1.0, 5, ModelParams(0.1, 0.2, 1.0, 1.0), g)
             )
+
+    def test_overflowing_prefactor_is_a_domain_error(self):
+        # the prefactor overflows and the memory sum underflows: no NaN lambda
+        p = ModelParams(0.1, 0.2, 1.0, 1.0, 0.999999)
+        with pytest.raises(DomainError, match="prefactor overflows"):
+            amplification_factor(AmplificationQuery(1.0, 1.0, 5, p, self.grid(p)))
 
     @given(
         b=st.floats(min_value=0.05, max_value=50.0),

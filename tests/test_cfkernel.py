@@ -48,6 +48,21 @@ class TestWeights:
             w = cf_weights(alpha, 0.01)
             assert (w.decay, w.prefactor, w.dtau) == (0.0, math.inf, 0.01)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.9, 0.999, 0.999999, 1.0])
+    def test_row_weight_is_q_eff_bit_for_bit(self, alpha):
+        # q_eff = dtau*alpha/(1 - rho), formed from expm1 so it stays finite
+        # where P overflows; exactly dtau in the classical mode
+        dtau = 0.032
+        w = cf_weights(alpha, dtau)
+        if alpha == 1.0:
+            assert w.row_weight == dtau
+        else:
+            expo = alpha * dtau / (1.0 - alpha)
+            assert w.row_weight == dtau * alpha / (-math.expm1(-expo))
+        assert math.isfinite(w.row_weight)
+        if alpha == 0.999999:
+            assert w.prefactor == math.inf
+
     def test_near_one_limit_is_backward_difference(self):
         # decay -> 0 and P*decay -> 1/dtau, so only the newest increment survives
         dtau = 0.02

@@ -10,6 +10,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import fronfix.cli
 from fronfix.cli import run_cli
 from fronfix.model import ModelParams, SolutionSurface
 from fronfix.reporting import emit_csv, emit_plot_script, emit_surface_csv
@@ -36,7 +37,8 @@ class TestSolveMode:
         assert "denominator_warnings" in summary
 
     def test_alpha_near_one_writes_lemma1(self, tmp_path):
-        # the q-scaled coefficients overflow at this order; lemma1 must not
+        # the paper's q-scaled triple overflows at this order; lemma1 reads
+        # the stepper's rows, whose row weight stays finite
         code = run_cli([
             "solve", "--alpha", "0.999999", "--M", "50", "--mu", "20", "--Y", "4",
             "--out", str(tmp_path),
@@ -61,6 +63,20 @@ class TestSolveMode:
         ])
         assert code == 2
         assert "step" in capsys.readouterr().err
+
+    def test_nonpositive_final_boundary_exits_two_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        run = classical_run(1.0)
+        v, xf = run.surface.v.copy(), run.surface.xf.copy()
+        xf[-1] = -1.5e-10
+        v[-1, 0] = 1.0 - xf[-1]
+        bad = dataclasses.replace(run, surface=SolutionSurface(v, xf))
+        monkeypatch.setattr(fronfix.cli, "run_solver", lambda *args: bad)
+        code = run_cli(["solve", "--M", "40", "--mu", "10", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"at level {run.grid.N}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

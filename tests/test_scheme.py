@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,14 +16,17 @@ from fronfix.cfkernel import (
     empty_history,
     history_push,
 )
-from fronfix.errors import DenominatorNearZeroError, FronfixError, ValidationError
-from fronfix.model import ModelParams, build_grid
+from fronfix.errors import (
+    DenominatorNearZeroError,
+    DomainError,
+    FronfixError,
+    ValidationError,
+)
+from fronfix.model import ModelParams, SolutionSurface, build_grid
 from fronfix.scheme import (
     FixedPointOptions,
-    SchemeCoefficients,
     StepState,
     _StepConstants,
-    coefficients,
     initial_state,
     price_at,
     run_solver,
@@ -38,13 +42,13 @@ def make_setup(p, M=10, mu=2.0, Y=1.0):
 
 
 def step_rows(p, g, w, xf_next, xf_curr):
-    """The stepper's row triple (A, B, C), as the step constants build it."""
+    """The stepper's rows (A, B, C), as the step constants build them."""
     v = np.zeros(g.M + 1)
     v[0] = 1.0 - xf_curr
     state = StepState(v_curr=v, xf_curr=xf_curr, acc=empty_history(g.M + 1, w), n=0)
     step = _StepConstants(state, p, g)
     upper, lower, _ = step.bands(xf_next)
-    return SchemeCoefficients(upper=upper, diag=step.b_diag, lower=lower)
+    return upper, step.b_diag, lower
 
 
 def level_system(monkeypatch, step, x):
@@ -65,99 +69,79 @@ def level_system(monkeypatch, step, x):
 
 class TestCoefficients:
     def test_sum_identity(self, fractional_params):
-        # A + C collapses to the diffusion part: Q*sigma^2/(2*dy^2)
+        # A + C collapses to the diffusion part: q_eff*sigma^2/(2*dy^2)
         p = fractional_params
-        g, _ = make_setup(p)
+        g, w = make_setup(p)
         rng = np.random.default_rng(3)
-        expo = p.alpha * g.dtau / (1.0 - p.alpha)
-        q = g.dtau * p.alpha / math.expm1(expo)
-        expected = q * p.sigma**2 / (2.0 * g.dy**2)
+        expected = w.row_weight * p.sigma**2 / (2.0 * g.dy**2)
         for _ in range(50):
             xf_c = rng.uniform(0.2, 1.0)
             xf_n = xf_c + rng.uniform(-0.2, 0.2)
-            c = coefficients(p, g, xf_n, xf_c)
-            assert c.upper + c.lower == pytest.approx(expected, rel=1e-14)
-            assert c.diag < 0.0
+            upper, diag, lower = step_rows(p, g, w, xf_n, xf_c)
+            assert upper + lower == pytest.approx(expected, rel=1e-14)
+            assert diag < 0.0
 
     def test_stationary_boundary_difference(self, fractional_params):
         # with xf frozen the boundary-velocity part vanishes:
-        # A - C = Q*(r - sigma^2/2)/(2*dy)
+        # A - C = q_eff*(r - sigma^2/2)/(2*dy)
         p = fractional_params
-        g, _ = make_setup(p)
-        expo = p.alpha * g.dtau / (1.0 - p.alpha)
-        q = g.dtau * p.alpha / math.expm1(expo)
-        c = coefficients(p, g, 0.77, 0.77)
-        assert c.upper - c.lower == pytest.approx(
-            q * (p.r - p.sigma**2 / 2.0) / (2.0 * g.dy), rel=1e-13
+        g, w = make_setup(p)
+        upper, _, lower = step_rows(p, g, w, 0.77, 0.77)
+        assert upper - lower == pytest.approx(
+            w.row_weight * (p.r - p.sigma**2 / 2.0) / (2.0 * g.dy), rel=1e-13
         )
 
     def test_numeric_triple_against_symbolic_rederivation(self):
-        # independent sympy evaluation of the coefficient definitions
+        # independent sympy evaluation of the row definitions, and of the
+        # paper's q-scaled triple as the rows times rho
         p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=1.0, alpha=0.9)
-        g = build_grid(p, M=100, mu=20.0, Y=4.0)
+        g, w = make_setup(p, M=100, mu=20.0, Y=4.0)
         xf_n, xf_c = 0.93, 0.97
 
         a, dt, dy, r, sig, xn, xc = sp.symbols(
             "alpha dtau dy r sigma x_next x_curr", positive=True
         )
+
+        def triple(weight):
+            return (
+                weight * (sig**2 / (4 * dy**2) + (r - sig**2 / 2) / (4 * dy)
+                          + (xn - xc) / (4 * dy * dt * xc)),
+                -weight / 2 * (sig**2 / dy**2 + r),
+                weight * (sig**2 / (4 * dy**2) - (r - sig**2 / 2) / (4 * dy)
+                          - (xn - xc) / (4 * dy * dt * xc)),
+            )
+
+        Q_eff = dt * a / (1 - sp.exp(-a * dt / (1 - a)))
         Q = dt * a / (sp.exp(a * dt / (1 - a)) - 1)
-        A_sym = Q * (sig**2 / (4 * dy**2) + (r - sig**2 / 2) / (4 * dy)
-                     + (xn - xc) / (4 * dy * dt * xc))
-        C_sym = Q * (sig**2 / (4 * dy**2) - (r - sig**2 / 2) / (4 * dy)
-                     - (xn - xc) / (4 * dy * dt * xc))
-        B_sym = -Q / 2 * (sig**2 / dy**2 + r)
         subs = {a: sp.Rational(9, 10), dt: sp.Rational(32, 1000),
                 dy: sp.Rational(4, 100), r: sp.Rational(1, 10),
                 sig: sp.Rational(2, 10), xn: sp.Rational(93, 100),
                 xc: sp.Rational(97, 100)}
-        expected = [float(expr.subs(subs).evalf(30)) for expr in (A_sym, B_sym, C_sym)]
-
-        c = coefficients(p, g, xf_n, xf_c)
-        assert c.upper == pytest.approx(expected[0], rel=1e-13)
-        assert c.diag == pytest.approx(expected[1], rel=1e-13)
-        assert c.lower == pytest.approx(expected[2], rel=1e-13)
+        rows = step_rows(p, g, w, xf_n, xf_c)
+        for got, expr in zip(rows, triple(Q_eff)):
+            assert got == pytest.approx(float(expr.subs(subs).evalf(30)), rel=1e-13)
+        for got, expr in zip(rows, triple(Q)):
+            assert got * w.decay == pytest.approx(float(expr.subs(subs).evalf(30)), rel=1e-13)
 
     def test_classical_mode_uses_plain_step_weight(self, base_params):
-        g, _ = make_setup(base_params)
-        c = coefficients(base_params, g, 1.0, 1.0)
+        g, w = make_setup(base_params)
+        upper, _, _ = step_rows(base_params, g, w, 1.0, 1.0)
         expected = g.dtau * (base_params.sigma**2 / (4 * g.dy**2)
                              + (base_params.r - base_params.sigma**2 / 2) / (4 * g.dy))
-        assert c.upper == pytest.approx(expected, rel=1e-14)
+        assert upper == pytest.approx(expected, rel=1e-14)
 
     def test_zero_boundary_rejected(self, base_params):
-        g, _ = make_setup(base_params)
+        g, w = make_setup(base_params)
         with pytest.raises(ValidationError):
-            coefficients(base_params, g, 1.0, 0.0)
-
-    def test_row_triple_is_triple_over_decay(self, fractional_params):
-        p = fractional_params
-        g, w = make_setup(p, M=100, mu=20.0, Y=4.0)
-        for xf_n, xf_c in ((0.93, 0.97), (1.0, 1.0), (0.5, 0.45)):
-            c = coefficients(p, g, xf_n, xf_c)
-            expected = SchemeCoefficients(
-                upper=c.upper / w.decay, diag=c.diag / w.decay, lower=c.lower / w.decay
-            )
-            rows = step_rows(p, g, w, xf_n, xf_c)
-            assert rows.upper == pytest.approx(expected.upper, rel=1e-14)
-            assert rows.diag == pytest.approx(expected.diag, rel=1e-14)
-            assert rows.lower == pytest.approx(expected.lower, rel=1e-14)
+            step_rows(base_params, g, w, 1.0, xf_curr=0.0)
 
     def test_row_triple_stays_finite_as_alpha_nears_one(self, base_params):
         # q and 1/rho overflow here; the row weight tends to dtau*alpha
         p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=1.0, alpha=0.999999)
         g, w = make_setup(p, M=50, mu=10.0, Y=4.0)
         rows = step_rows(p, g, w, 0.9, 1.0)
-        classical = coefficients(base_params, g, 0.9, 1.0)
-        assert rows.upper == pytest.approx(classical.upper, rel=2e-6)
-        assert rows.diag == pytest.approx(classical.diag, rel=2e-6)
-        assert rows.lower == pytest.approx(classical.lower, rel=2e-6)
-
-    def test_triple_underflows_to_zero_as_alpha_nears_one(self):
-        # expm1 overflows here; q itself underflows, as cf_weights' 1/prefactor does
-        p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=1.0, alpha=0.999999)
-        g, _ = make_setup(p, M=50, mu=10.0, Y=4.0)
-        c = coefficients(p, g, 0.9, 1.0)
-        assert (c.upper, c.diag, c.lower) == (0.0, 0.0, 0.0)
+        classical = step_rows(base_params, g, cf_weights(1.0, g.dtau), 0.9, 1.0)
+        assert rows == pytest.approx(classical, rel=2e-6)
 
 
 class TestAssemble:
@@ -170,10 +154,9 @@ class TestAssemble:
         assert np.all(sys["rhs"] == 0.0)
 
         xf_next = 0.9
-        c = coefficients(p, g, xf_next, 1.0)
+        _, _, lower = step_rows(p, g, w, xf_next, 1.0)
         sys = level_system(monkeypatch, step, xf_next)
-        scaled_lower = c.lower / w.decay
-        assert sys["rhs"][0] == pytest.approx(-scaled_lower * (1.0 - xf_next), rel=1e-14)
+        assert sys["rhs"][0] == pytest.approx(-lower * (1.0 - xf_next), rel=1e-14)
         assert np.all(sys["rhs"][1:] == 0.0)
 
     def test_minimal_grid_rows_by_hand(self, fractional_params, monkeypatch):
@@ -185,11 +168,9 @@ class TestAssemble:
         v = state.v_curr
         xf_c = state.xf_curr
         xf_n = 0.97 * xf_c
-        c = coefficients(p, g, xf_n, xf_c)
+        a_h, b_h, c_h = step_rows(p, g, w, xf_n, xf_c)
         sys = level_system(monkeypatch, _StepConstants(state, p, g), xf_n)
 
-        eta = 1.0 / w.decay
-        a_h, b_h, c_h = eta * c.upper, eta * c.diag, eta * c.lower
         for m in (1, 2, 3):
             expected = state.acc.sums[m] - v[m] - (
                 a_h * v[m + 1] + b_h * v[m] + c_h * v[m - 1]
@@ -247,9 +228,7 @@ class TestFreeBoundaryUpdate:
         # shift the stored history sum at node 1 to force om1 == om2
         sums = state.acc.sums.copy()
         sums[1] += om2 - om1
-        doctored = state.acc.__class__(
-            sums=sums, level=state.acc.level, decay=state.acc.decay
-        )
+        doctored = dataclasses.replace(state.acc, sums=sums)
         state2 = state.__class__(
             v_curr=state.v_curr, xf_curr=state.xf_curr, acc=doctored, n=state.n,
         )
@@ -372,8 +351,7 @@ class TestTimeStep:
             sums[1] += shift
             return state.__class__(
                 v_curr=state.v_curr, xf_curr=state.xf_curr,
-                acc=state.acc.__class__(sums=sums, level=state.acc.level,
-                                        decay=state.acc.decay),
+                acc=dataclasses.replace(state.acc, sums=sums),
                 n=state.n,
             )
 
@@ -415,7 +393,7 @@ def synthetic_state(p, g, w, xf, seed):
     v[0] = 1.0 - xf
     v[-1] = 0.0
     sums = np.zeros(y.size) if p.classical else rng.normal(0.0, 1e-3, y.size)
-    acc = HistoryAccumulator(sums=sums, level=3, decay=w.decay)
+    acc = HistoryAccumulator(sums=sums, level=3, weights=w)
     return StepState(v_curr=v, xf_curr=xf, acc=acc, n=3)
 
 
@@ -613,6 +591,17 @@ class TestPricing:
         run = run_solver(base_params, 20, 10.0, 1.0)
         deep = base_params.E * run.surface.xf[-1] * math.exp(run.grid.Y) * 1.01
         assert price_at(run, deep) == 0.0
+
+    def test_nonpositive_final_boundary_is_a_domain_error(self, base_params):
+        # a march that ends at xf <= 0 is a numerical failure, not bad input
+        run = run_solver(base_params, 20, 10.0, 1.0)
+        v, xf = run.surface.v.copy(), run.surface.xf.copy()
+        xf[-1] = -1.5e-10
+        v[-1, 0] = 1.0 - xf[-1]
+        bad = dataclasses.replace(run, surface=SolutionSurface(v, xf))
+        with pytest.raises(DomainError, match=f"level {run.grid.N}") as err:
+            price_at(bad, base_params.E)
+        assert not isinstance(err.value, ValidationError)
 
     def test_rejects_nonpositive_spot(self, base_params):
         run = run_solver(base_params, 20, 10.0, 1.0)
