@@ -16,9 +16,7 @@ from .analysis import (
 )
 from .cfkernel import (
     CFWeights,
-    HistoryAccumulator,
     cf_weights,
-    empty_history,
     history_push,
     history_sum_naive,
 )
@@ -34,7 +32,6 @@ from .model import (
     GridSpec,
     ModelParams,
     SolutionSurface,
-    ValidationReport,
     build_grid,
     from_fixed_domain,
     to_fixed_domain,
@@ -47,7 +44,6 @@ from .oracles import (
     psor_american_put,
 )
 from .scheme import (
-    FixedPointOptions,
     SolverRun,
     StepState,
     initial_state,

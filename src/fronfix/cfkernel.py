@@ -21,9 +21,14 @@ At decay 0 the product P * sums is inf * 0 = NaN, not the backward
 difference: the stepper never forms it, and reaches that limit through
 q_eff = dtau instead.
 
-The weighted sum is accumulated recursively: pushing a new level multiplies the
-running sum by rho and adds the newest increment, so a time march costs O(1)
-per node per step instead of O(n). The naive summation is kept as an oracle.
+The weighted sum is accumulated recursively: history_push multiplies the
+running sums by rho and adds the newest increment, so a time march costs O(1)
+per node per step instead of O(n). At level n the sums are
+
+    sums[m] = sum_{k=1..n} (v^{n+1-k}[m] - v^{n-k}[m]) * rho^k,
+
+a plain array that the stepper's state carries next to its CFWeights. The
+naive summation is kept as an oracle.
 
 Note the continuous kernel definition carries a 1/(1-alpha) normalization that
 the discrete weights above absorb into P; the alpha -> 1 limit test pins the
@@ -42,9 +47,7 @@ from .errors import ValidationError
 
 __all__ = [
     "CFWeights",
-    "HistoryAccumulator",
     "cf_weights",
-    "empty_history",
     "history_sum_naive",
     "history_push",
 ]
@@ -81,28 +84,6 @@ def cf_weights(alpha: float, dtau: float) -> CFWeights:
     )
 
 
-@dataclass(frozen=True)
-class HistoryAccumulator:
-    """Running weighted increment sums, one per node.
-
-    sums[m] = sum_{k=1..n} (v^{n+1-k}[m] - v^{n-k}[m]) * decay^k at level n.
-    Classical mode has decay 0, so its sums stay zero.
-    """
-
-    sums: np.ndarray
-    level: int
-    weights: CFWeights
-
-    def __post_init__(self):
-        sums = np.asarray(self.sums, dtype=float)
-        sums.setflags(write=False)
-        object.__setattr__(self, "sums", sums)
-
-
-def empty_history(n_nodes: int, w: CFWeights) -> HistoryAccumulator:
-    return HistoryAccumulator(sums=np.zeros(n_nodes), level=0, weights=w)
-
-
 def history_sum_naive(series: Sequence[float], w: CFWeights) -> float:
     """Direct O(n) evaluation of the weighted increment sum for one node.
 
@@ -119,16 +100,9 @@ def history_sum_naive(series: Sequence[float], w: CFWeights) -> float:
 
 
 def history_push(
-    acc: HistoryAccumulator, v_new: np.ndarray, v_prev: np.ndarray
-) -> HistoryAccumulator:
-    """Advance the accumulator by one level: S <- decay*(S + v_new - v_prev)."""
-    v_new = np.asarray(v_new, dtype=float)
-    v_prev = np.asarray(v_prev, dtype=float)
-    if v_new.shape != acc.sums.shape or v_prev.shape != acc.sums.shape:
-        raise ValidationError(["node vectors must match the accumulator length"])
-    return HistoryAccumulator(
-        sums=acc.weights.decay * (acc.sums + (v_new - v_prev)),
-        level=acc.level + 1,
-        weights=acc.weights,
-    )
-
+    sums: np.ndarray, v_new: np.ndarray, v_prev: np.ndarray, w: CFWeights
+) -> np.ndarray:
+    """The sums one level on: decay*(sums + v_new - v_prev), a new array."""
+    if v_new.shape != sums.shape or v_prev.shape != sums.shape:
+        raise ValidationError(["node vectors must match the sums' length"])
+    return w.decay * (sums + (v_new - v_prev))

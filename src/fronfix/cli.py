@@ -24,7 +24,7 @@ from .analysis import (
     y_truncation_study,
 )
 from .errors import FronfixError, ValidationError
-from .model import ModelParams, build_grid, ensure_valid_params
+from .model import ModelParams, build_grid, validate_params
 from .oracles import binomial_american_put, european_put_closed_form, psor_american_put
 from .reporting import emit_csv, emit_plot_script, emit_study_csv, emit_summary, fmt
 from .scheme import price_at, run_solver
@@ -79,12 +79,19 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return merged
 
 
+def _num(cfg: dict, key: str, kind=float, many: bool = False):
+    """cfg[key] as a number, or as a list of them from a comma list when many;
+    a malformed value is a validation error that names the key."""
+    val = cfg[key]
+    try:
+        return [kind(tok) for tok in str(val).split(",") if tok] if many else kind(val)
+    except (TypeError, ValueError):
+        raise ValidationError([f"{key} must be numeric, got {val!r}"]) from None
+
+
 def _params(cfg: dict) -> ModelParams:
-    p = ModelParams(
-        r=float(cfg["r"]), sigma=float(cfg["sigma"]), E=float(cfg["E"]),
-        T=float(cfg["T"]), alpha=float(cfg["alpha"]),
-    )
-    ensure_valid_params(p)
+    p = ModelParams(*(_num(cfg, key) for key in ("r", "sigma", "E", "T", "alpha")))
+    validate_params(p)
     return p
 
 
@@ -92,8 +99,7 @@ def _single_Y(cfg: dict) -> float | None:
     if cfg["Y"] is None:
         return None  # build_grid's default
     # studies accept comma lists; single-run modes need one value
-    text = str(cfg["Y"])
-    vals = [float(tok) for tok in text.split(",") if tok]
+    vals = _num(cfg, "Y", many=True)
     if len(vals) != 1:
         raise ValidationError(["this mode expects a single Y"])
     return vals[0]
@@ -107,7 +113,7 @@ def _out_dir(cfg: dict) -> Path:
 
 def _cmd_solve(cfg: dict) -> int:
     p = _params(cfg)
-    run = run_solver(p, int(cfg["M"]), float(cfg["mu"]), _single_Y(cfg))
+    run = run_solver(p, _num(cfg, "M", int), _num(cfg, "mu"), _single_Y(cfg))
     price = price_at(run, p.E)  # a run with no price writes no file
     out = _out_dir(cfg)
     emit_csv(run, out)
@@ -122,13 +128,9 @@ def _cmd_solve(cfg: dict) -> int:
 
 def _cmd_truncation(cfg: dict) -> int:
     p = _params(cfg)
-    out = _out_dir(cfg)
-    if cfg["Y"] is None:
-        ys = [1.0, 2.0, 4.0]
-    else:
-        ys = [float(tok) for tok in str(cfg["Y"]).split(",") if tok]
-    rows = y_truncation_study(p, int(cfg["M"]), float(cfg["mu"]), ys)
-    emit_study_csv(rows, out / "truncation.csv")
+    ys = [1.0, 2.0, 4.0] if cfg["Y"] is None else _num(cfg, "Y", many=True)
+    rows = y_truncation_study(p, _num(cfg, "M", int), _num(cfg, "mu"), ys)
+    emit_study_csv(rows, _out_dir(cfg) / "truncation.csv")
     for row in rows:
         print(f"Y={row.Y:g} M={row.M} xf(T)={fmt(row.xf_final)}")
     return 0
@@ -136,9 +138,8 @@ def _cmd_truncation(cfg: dict) -> int:
 
 def _cmd_order(cfg: dict) -> int:
     p = _params(cfg)
-    out = _out_dir(cfg)
-    base = build_grid(p, int(cfg["M"]), float(cfg["mu"]), _single_Y(cfg))
-    est = observed_order(p, base, int(cfg["refinements"]))
+    base = build_grid(p, _num(cfg, "M", int), _num(cfg, "mu"), _single_Y(cfg))
+    est = observed_order(p, base, _num(cfg, "refinements", int))
     payload = {
         "spatial_price_rates": list(est.spatial_price_rates),
         "spatial_xf_rates": list(est.spatial_xf_rates),
@@ -147,6 +148,7 @@ def _cmd_order(cfg: dict) -> int:
         "spatial_table": [list(r) for r in est.spatial_table],
         "temporal_table": [list(r) for r in est.temporal_table],
     }
+    out = _out_dir(cfg)
     (out / "order.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"spatial rate (price): {est.spatial_rate:.3f}")
     print(f"temporal rate (price): {est.temporal_rate:.3f}")
@@ -155,12 +157,11 @@ def _cmd_order(cfg: dict) -> int:
 
 def _cmd_stability(cfg: dict) -> int:
     p_base = _params(cfg)
-    out = _out_dir(cfg)
-    g = build_grid(p_base, int(cfg["M"]), float(cfg["mu"]), _single_Y(cfg))
-    alphas = [float(t) for t in str(cfg["alphas"]).split(",") if t]
-    growths = [float(t) for t in str(cfg["growth"]).split(",") if t]
-    terms = [int(t) for t in str(cfg["history_terms"]).split(",") if t]
-    n_b = int(cfg["wavenumbers"])
+    g = build_grid(p_base, _num(cfg, "M", int), _num(cfg, "mu"), _single_Y(cfg))
+    alphas = _num(cfg, "alphas", many=True)
+    growths = _num(cfg, "growth", many=True)
+    terms = _num(cfg, "history_terms", int, many=True)
+    n_b = _num(cfg, "wavenumbers", int)
     bs = [k * math.pi / g.dy / n_b for k in range(1, n_b + 1)]
     lines = ["alpha,a,n,b,lambda"]
     worst = 0.0
@@ -174,19 +175,20 @@ def _cmd_stability(cfg: dict) -> int:
                     lines.append(
                         f"{fmt(alpha)},{fmt(a)},{n},{fmt(b)},{fmt(res.lam)}"
                     )
-    (out / "stability.csv").write_text("\n".join(lines) + "\n")
+    (_out_dir(cfg) / "stability.csv").write_text("\n".join(lines) + "\n")
     print(f"max |lambda| over scan: {worst:.6f} ({'stable' if worst < 1 else 'UNSTABLE'})")
     return 0 if worst < 1.0 else 2
 
 
 def _cmd_oracle_compare(cfg: dict) -> int:
     p = _params(cfg)
-    s0 = float(cfg["S0"]) if cfg["S0"] is not None else p.E
-    run = run_solver(p, int(cfg["M"]), float(cfg["mu"]), _single_Y(cfg))
+    s0 = _num(cfg, "S0") if cfg["S0"] is not None else p.E
+    run = run_solver(p, _num(cfg, "M", int), _num(cfg, "mu"), _single_Y(cfg))
     ff_price = price_at(run, s0)
-    out = _out_dir(cfg)
-    tree = binomial_american_put(p, s0, int(cfg["steps"]))
-    psor = psor_american_put(p, s0, int(cfg["Ms"]), int(cfg["Nt"]), float(cfg["omega"]))
+    tree = binomial_american_put(p, s0, _num(cfg, "steps", int))
+    psor = psor_american_put(
+        p, s0, _num(cfg, "Ms", int), _num(cfg, "Nt", int), _num(cfg, "omega")
+    )
     euro = european_put_closed_form(p, s0)
     payload = {
         "S0": s0,
@@ -197,7 +199,7 @@ def _cmd_oracle_compare(cfg: dict) -> int:
         "psor_boundary": psor.boundary_estimate,
         "european": euro,
     }
-    (out / "oracle_compare.json").write_text(
+    (_out_dir(cfg) / "oracle_compare.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
     for key in ("front_fixing", "binomial", "psor", "european"):

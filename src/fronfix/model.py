@@ -23,9 +23,7 @@ __all__ = [
     "ModelParams",
     "GridSpec",
     "SolutionSurface",
-    "ValidationReport",
     "validate_params",
-    "ensure_valid_params",
     "build_grid",
     "to_fixed_domain",
     "from_fixed_domain",
@@ -55,17 +53,8 @@ class ModelParams:
         return self.alpha == 1.0
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...] = ()
-
-    @property
-    def valid(self) -> bool:
-        return not self.violations
-
-
-def validate_params(p: ModelParams) -> ValidationReport:
-    """Report every violated parameter invariant; empty report means valid."""
+def validate_params(p: ModelParams) -> None:
+    """Raise a ValidationError that lists every violated parameter invariant."""
     bad: list[str] = []
     for name in ("r", "sigma", "E", "T", "alpha"):
         if not math.isfinite(getattr(p, name)):
@@ -80,13 +69,8 @@ def validate_params(p: ModelParams) -> ValidationReport:
         bad.append("r must be nonnegative")
     if math.isfinite(p.alpha) and not 0.0 < p.alpha <= 1.0:
         bad.append("alpha must lie in (0,1]")
-    return ValidationReport(tuple(bad))
-
-
-def ensure_valid_params(p: ModelParams) -> None:
-    report = validate_params(p)
-    if not report.valid:
-        raise ValidationError(list(report.violations))
+    if bad:
+        raise ValidationError(bad)
 
 
 @dataclass(frozen=True)
@@ -117,7 +101,7 @@ def _guarded_ceil(x: float) -> int:
 def build_grid(p: ModelParams, M: int, mu: float, Y: float | None = None) -> GridSpec:
     """Construct the grid; Y defaults to 4, a bound on y = ln(X/X*), which has
     no units (so the default does not scale with the strike)."""
-    ensure_valid_params(p)
+    validate_params(p)
     if Y is None:
         Y = 4.0
     bad: list[str] = []

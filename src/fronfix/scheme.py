@@ -67,6 +67,11 @@ Y-truncation acceptance check compares to the last bit.
 
 Classical mode is decay 0: its sums stay exact zeros, which the right-hand
 side reads like any others, and no history is pushed.
+
+State. A StepState is plain data: the level, its boundary, the memory's
+weighted increment sums and the run's CFWeights. Nothing checks a state when
+it is built; time_step checks v[0] = 1 - xf and v[M] = 0 where the state
+enters, and returns a new state without writing into the one it was given.
 """
 
 from __future__ import annotations
@@ -76,12 +81,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cfkernel import (
-    HistoryAccumulator,
-    cf_weights,
-    empty_history,
-    history_push,
-)
+from .cfkernel import CFWeights, cf_weights, history_push
 from .errors import (
     DenominatorNearZeroError,
     DomainError,
@@ -99,7 +99,6 @@ from .tridiag import _PIVOT_FLOOR, solve_constant_bands
 __all__ = [
     "StepState",
     "StepStats",
-    "FixedPointOptions",
     "SolverRun",
     "initial_state",
     "time_step",
@@ -110,12 +109,8 @@ __all__ = [
 _DENOM_FLOOR = 1e-12
 _DENOM_WARN = 1e-6
 _UNIT_ROUNDOFF = 2.0**-53
-
-
-@dataclass(frozen=True)
-class FixedPointOptions:
-    tol_xf: float = 1e-10
-    max_iter: int = 50
+_TOL_XF = 1e-10  # the inner iteration stops once |proposal - x| <= this
+_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -128,22 +123,15 @@ class StepStats:
 
 @dataclass(frozen=True)
 class StepState:
-    """Solver state at time level n."""
+    """Solver state at time level n: the level, its boundary, the memory's
+    weighted increment sums (exact zeros at decay 0) and the run's weights."""
 
     v_curr: np.ndarray
     xf_curr: float
-    acc: HistoryAccumulator
+    sums: np.ndarray
+    w: CFWeights
     n: int
     stats: StepStats | None = None
-
-    def __post_init__(self):
-        v = np.asarray(self.v_curr, dtype=float)
-        if v[0] != 1.0 - self.xf_curr:
-            raise ValidationError(["state must satisfy v[0] = 1 - xf"])
-        if v[-1] != 0.0:
-            raise ValidationError(["state must satisfy v[M] = 0"])
-        v.setflags(write=False)
-        object.__setattr__(self, "v_curr", v)
 
 
 class _Rows:
@@ -171,7 +159,7 @@ class _Rows:
 class _StepConstants(_Rows):
     """What the candidates of one time step share.
 
-    The row constants (the accumulator's row weight q_eff), the closure line
+    The row constants (the weights' row weight q_eff), the closure line
     v[1] = g0 + g1*xf_next and the candidate-free parts F0 and dv of the
     right-hand side (see the module docstring) are computed once per step, so
     a candidate costs a short scalar sweep.
@@ -183,14 +171,14 @@ class _StepConstants(_Rows):
     )
 
     def __init__(self, state: StepState, p: ModelParams, g: GridSpec):
-        super().__init__(p, g, state.acc.weights.row_weight, state.xf_curr)
+        super().__init__(p, g, state.w.row_weight, state.xf_curr)
         self.state = state
         v = state.v_curr
         self.omega = self.q / self.den
         self.g1 = -(1.0 + g.dy) - g.dy * g.dy / 2.0
         self.g0 = 1.0 + (g.dy * g.dy / (p.sigma * p.sigma)) * p.r
         # classical mode reads its sums too: they are exact zeros
-        hist = state.acc.sums[1:-1]
+        hist = state.sums[1:-1]
         self.hist1 = float(hist[0])
         self.v0, self.v1, self.v2 = v[:3].tolist()
         self.f0 = hist - v[1:-1] - (self.b_diag * v[1:-1] + self.theta * (v[2:] + v[:-2]))
@@ -227,7 +215,7 @@ class _StepConstants(_Rows):
         u = np.empty(v.size)
         u[0] = 1.0 - x
         u[-1] = 0.0
-        rhs = self.state.acc.sums[1:-1] - v[1:-1] - (a * v[2:] + b * v[1:-1] + c * v[:-2])
+        rhs = self.state.sums[1:-1] - v[1:-1] - (a * v[2:] + b * v[1:-1] + c * v[:-2])
         rhs[0] -= c * (1.0 - x)
         solve_constant_bands(c, b - 1.0, a, rhs, u[1:-1])
         return u
@@ -289,26 +277,28 @@ def initial_state(p: ModelParams, g: GridSpec) -> StepState:
     return StepState(
         v_curr=np.zeros(g.M + 1),
         xf_curr=1.0,
-        acc=empty_history(g.M + 1, cf_weights(p.alpha, g.dtau)),
+        sums=np.zeros(g.M + 1),
+        w=cf_weights(p.alpha, g.dtau),
         n=0,
     )
 
 
-def time_step(
-    state: StepState,
-    p: ModelParams,
-    g: GridSpec,
-    opts: FixedPointOptions | None = None,
-) -> StepState:
+def time_step(state: StepState, p: ModelParams, g: GridSpec) -> StepState:
     """Advance one level: solve the coupled interior/boundary system.
 
     The scalar iterate starts at the current boundary, takes one plain
     fixed-point step, then secant steps on R(x) = Omega1 - x*Omega2 with a
     bisection safeguard once a sign change is bracketed. Each iterate reads
     u[2] from a truncated sweep; only the converged boundary gets a full solve.
-    The memory, and with it the order alpha, enters through state.acc.
+    The memory, and with it the order alpha, enters through state.sums and
+    state.w. The state must hold v[0] = 1 - xf and v[M] = 0; it is checked
+    here, once per step, and left unchanged.
     """
-    opts = opts or FixedPointOptions()
+    v = state.v_curr
+    if v[0] != 1.0 - state.xf_curr:
+        raise ValidationError(["state must satisfy v[0] = 1 - xf"])
+    if v[-1] != 0.0:
+        raise ValidationError(["state must satisfy v[M] = 0"])
     step = _StepConstants(state, p, g)
     x = state.xf_curr
     x_prev: float | None = None
@@ -320,7 +310,7 @@ def time_step(
     xf_next: float | None = None
     iterations = 0
 
-    for k in range(opts.max_iter):
+    for k in range(_MAX_ITER):
         omega1, omega2, scale = step.omega_parts(1.0 - x, step.node2(x))
         if abs(omega2) < _DENOM_FLOOR * scale:
             raise DenominatorNearZeroError(state.n, omega2, scale)
@@ -330,7 +320,7 @@ def time_step(
         proposal = omega1 / omega2
         residual = omega1 - x * omega2
         iterations = k + 1
-        if abs(proposal - x) <= opts.tol_xf:
+        if abs(proposal - x) <= _TOL_XF:
             xf_next = proposal
             break
         if residual > 0.0:
@@ -350,7 +340,7 @@ def time_step(
         x = x_new
     if xf_next is None:
         raise NonConvergenceError(
-            state.n, opts.max_iter, (x_prev if x_prev is not None else x, x)
+            state.n, _MAX_ITER, (x_prev if x_prev is not None else x, x)
         )
 
     u = step.level(xf_next)
@@ -361,11 +351,12 @@ def time_step(
         min_abs_denominator=min_abs_den,
     )
     # with decay 0 (classical) the sums stay zero, so nothing is pushed
-    acc = history_push(state.acc, u, state.v_curr) if state.acc.weights.decay else state.acc
+    sums = history_push(state.sums, u, v, state.w) if state.w.decay else state.sums
     return StepState(
         v_curr=u,
         xf_curr=xf_next,
-        acc=acc,
+        sums=sums,
+        w=state.w,
         n=state.n + 1,
         stats=stats,
     )
@@ -391,13 +382,7 @@ class SolverRun:
         return max(self.iterations) if self.iterations else 0
 
 
-def run_solver(
-    p: ModelParams,
-    M: int,
-    mu: float,
-    Y: float | None = None,
-    opts: FixedPointOptions | None = None,
-) -> SolverRun:
+def run_solver(p: ModelParams, M: int, mu: float, Y: float | None = None) -> SolverRun:
     """March the scheme over the whole horizon and collect the surface.
 
     Step-level failures propagate as typed errors carrying the step index.
@@ -413,7 +398,7 @@ def run_solver(
     residuals: list[float] = []
     warned_steps: list[int] = []
     for n in range(1, g.N + 1):
-        state = time_step(state, p, g, opts)
+        state = time_step(state, p, g)
         assert state.stats is not None
         v_levels[n] = state.v_curr
         xf_path.append(state.xf_curr)

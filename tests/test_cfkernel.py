@@ -8,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fronfix.cfkernel import (
-    cf_weights,
-    empty_history,
-    history_push,
-    history_sum_naive,
-)
+from fronfix.cfkernel import cf_weights, history_push, history_sum_naive
 from fronfix.errors import ValidationError
 
 
@@ -101,34 +96,33 @@ class TestNaiveSum:
 class TestAccumulator:
     def test_first_push_is_single_term(self):
         w = cf_weights(0.45, 0.03)
-        acc = empty_history(3, w)
-        acc = history_push(acc, np.array([1.0, 2.0, 0.5]), np.zeros(3))
-        assert acc.sums == pytest.approx(np.array([1.0, 2.0, 0.5]) * w.decay)
-        assert acc.level == 1
+        sums = np.zeros(3)
+        sums = history_push(sums, np.array([1.0, 2.0, 0.5]), np.zeros(3), w)
+        assert sums == pytest.approx(np.array([1.0, 2.0, 0.5]) * w.decay)
 
     def test_two_pushes_match_naive(self):
         w = cf_weights(0.45, 0.03)
         levels = [np.array([0.0, 0.1]), np.array([0.4, 0.2]), np.array([0.3, 0.9])]
-        acc = empty_history(2, w)
-        acc = history_push(acc, levels[1], levels[0])
-        acc = history_push(acc, levels[2], levels[1])
+        sums = np.zeros(2)
+        sums = history_push(sums, levels[1], levels[0], w)
+        sums = history_push(sums, levels[2], levels[1], w)
         for m in range(2):
             naive = history_sum_naive([lv[m] for lv in levels], w)
-            assert acc.sums[m] == pytest.approx(naive, abs=1e-14)
+            assert sums[m] == pytest.approx(naive, abs=1e-14)
 
     def test_identical_levels_pure_decay(self):
         w = cf_weights(0.8, 0.02)
-        acc = empty_history(2, w)
-        acc = history_push(acc, np.array([0.5, 0.1]), np.zeros(2))
-        before = acc.sums.copy()
-        acc = history_push(acc, np.array([0.5, 0.1]), np.array([0.5, 0.1]))
-        assert acc.sums == pytest.approx(w.decay * before, rel=1e-15)
+        sums = np.zeros(2)
+        sums = history_push(sums, np.array([0.5, 0.1]), np.zeros(2), w)
+        before = sums.copy()
+        sums = history_push(sums, np.array([0.5, 0.1]), np.array([0.5, 0.1]), w)
+        assert sums == pytest.approx(w.decay * before, rel=1e-15)
 
     def test_length_mismatch_rejected(self):
         w = cf_weights(0.5, 0.1)
-        acc = empty_history(3, w)
+        sums = np.zeros(3)
         with pytest.raises(ValidationError):
-            history_push(acc, np.zeros(4), np.zeros(3))
+            history_push(sums, np.zeros(4), np.zeros(3), w)
 
     @given(
         alpha=st.floats(min_value=0.05, max_value=0.95),
@@ -137,42 +131,42 @@ class TestAccumulator:
     @settings(max_examples=150, deadline=None)
     def test_recursion_matches_naive(self, alpha, data):
         w = cf_weights(alpha, 0.01)
-        acc = empty_history(1, w)
+        sums = np.zeros(1)
         for prev, new in zip(data, data[1:]):
-            acc = history_push(acc, np.array([new]), np.array([prev]))
+            sums = history_push(sums, np.array([new]), np.array([prev]), w)
         naive = history_sum_naive(data, w)
-        assert abs(acc.sums[0] - naive) <= 1e-12 * (1.0 + abs(naive))
+        assert abs(sums[0] - naive) <= 1e-12 * (1.0 + abs(naive))
 
     def test_single_jump_decays_geometrically(self):
         w = cf_weights(0.6, 0.05)
-        acc = empty_history(1, w)
-        acc = history_push(acc, np.array([1.0]), np.array([0.0]))  # unit jump
+        sums = np.zeros(1)
+        sums = history_push(sums, np.array([1.0]), np.array([0.0]), w)  # unit jump
         for lag in range(1, 12):
-            assert acc.sums[0] == pytest.approx(w.decay**lag, rel=1e-13)
-            acc = history_push(acc, np.array([1.0]), np.array([1.0]))
+            assert sums[0] == pytest.approx(w.decay**lag, rel=1e-13)
+            sums = history_push(sums, np.array([1.0]), np.array([1.0]), w)
 
 
 class TestDerivativeApply:
     def test_constant_field_is_zero(self):
         w = cf_weights(0.5, 0.01)
-        acc = empty_history(4, w)
+        sums = np.zeros(4)
         field = np.full(4, 2.5)
         for _ in range(5):
-            acc = history_push(acc, field, field)
-        assert np.all(w.prefactor * acc.sums == 0.0)
+            sums = history_push(sums, field, field, w)
+        assert np.all(w.prefactor * sums == 0.0)
 
     def test_linear_series_is_exact(self):
         # piecewise-linear quadrature integrates a linear function exactly
         alpha, dtau, steps = 0.9, 1e-3, 50
         w = cf_weights(alpha, dtau)
-        acc = empty_history(1, w)
+        sums = np.zeros(1)
         for n in range(1, steps + 1):
-            acc = history_push(acc, np.array([n * dtau]), np.array([(n - 1) * dtau]))
+            sums = history_push(sums, np.array([n * dtau]), np.array([(n - 1) * dtau]), w)
         t = steps * dtau
         exact = continuous_cf_derivative(lambda s: 1.0, alpha, t)
         closed = (1.0 - math.exp(-alpha * t / (1.0 - alpha))) / alpha
         assert exact == pytest.approx(closed, rel=1e-10)
-        assert w.prefactor * acc.sums[0] == pytest.approx(exact, rel=1e-10)
+        assert w.prefactor * sums[0] == pytest.approx(exact, rel=1e-10)
 
     def test_quadratic_series_convergence_under_halving(self):
         # manufactured smooth series: the piecewise-linear memory quadrature
@@ -184,12 +178,12 @@ class TestDerivativeApply:
         for steps in (50, 100, 200):
             dtau = t / steps
             w = cf_weights(alpha, dtau)
-            acc = empty_history(1, w)
+            sums = np.zeros(1)
             for n in range(1, steps + 1):
-                acc = history_push(
-                    acc, np.array([(n * dtau) ** 2]), np.array([((n - 1) * dtau) ** 2])
+                sums = history_push(
+                    sums, np.array([(n * dtau) ** 2]), np.array([((n - 1) * dtau) ** 2]), w
                 )
-            errors.append(abs(w.prefactor * acc.sums[0] - exact))
+            errors.append(abs(w.prefactor * sums[0] - exact))
         for coarse, fine in zip(errors, errors[1:]):
             assert coarse / fine == pytest.approx(4.0, rel=0.1)
             assert coarse / fine > 1.8  # at least first order
@@ -197,10 +191,10 @@ class TestDerivativeApply:
     def test_near_one_matches_backward_difference(self):
         dtau = 0.01
         w = cf_weights(0.9999, dtau)
-        acc = empty_history(1, w)
-        acc = history_push(acc, np.array([0.3]), np.array([0.1]))
+        sums = np.zeros(1)
+        sums = history_push(sums, np.array([0.3]), np.array([0.1]), w)
         bd = (0.3 - 0.1) / dtau
-        assert w.prefactor * acc.sums[0] == pytest.approx(bd, rel=1e-3)
+        assert w.prefactor * sums[0] == pytest.approx(bd, rel=1e-3)
 
     @given(
         alpha=st.floats(min_value=0.1, max_value=0.9),
@@ -215,10 +209,10 @@ class TestDerivativeApply:
         w = cf_weights(alpha, 0.02)
 
         def accumulate(series):
-            acc = empty_history(1, w)
+            sums = np.zeros(1)
             for prev, new in zip(series, series[1:]):
-                acc = history_push(acc, np.array([new]), np.array([prev]))
-            return w.prefactor * acc.sums[0]
+                sums = history_push(sums, np.array([new]), np.array([prev]), w)
+            return w.prefactor * sums[0]
 
         combo = [ai + lam * bi for ai, bi in zip(a, b)]
         lhs = accumulate(combo)

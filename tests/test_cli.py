@@ -3,9 +3,13 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
 import types
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,8 @@ from fronfix.cli import run_cli
 from fronfix.model import ModelParams, SolutionSurface
 from fronfix.reporting import emit_csv, emit_plot_script, emit_surface_csv
 from fronfix.scheme import run_solver
+
+SRC = str(Path(fronfix.cli.__file__).resolve().parents[1])
 
 
 SOLVE_FLAGS = [
@@ -86,6 +92,26 @@ class TestSolveMode:
         summary = json.loads((tmp_path / "a" / "summary.json").read_text())
         assert summary["grid"]["M"] == 50  # flag wins
         assert summary["grid"]["mu"] == 10.0  # config fills the rest
+
+    @pytest.mark.parametrize("argv, config, key", [
+        (["solve", "--Y", "abc"], None, "Y"),
+        (["stability-scan", "--alphas", "0.3,x"], None, "alphas"),
+        (["solve"], {"M": "abc"}, "M"),
+        (["solve"], {"r": None}, "r"),
+    ], ids=["Y-flag", "alphas-flag", "M-config", "r-config"])
+    def test_malformed_number_exits_one_naming_the_key(self, tmp_path, argv, config, key):
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv = argv + ["--config", "cfg.json"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "fronfix.cli", *argv], cwd=tmp_path, env=env,
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith(f"validation error: {key} must be numeric")
+        assert not (tmp_path / "out").exists()
 
     def test_unreadable_config_exits_one(self, tmp_path):
         assert run_cli(["solve", "--config", str(tmp_path / "nope.json")]) == 1

@@ -19,26 +19,34 @@ from fronfix.model import (
 )
 
 
+def violations(p: ModelParams) -> list[str]:
+    """What validate_params lists for p; empty when it does not raise."""
+    try:
+        validate_params(p)
+    except ValidationError as err:
+        return err.violations
+    return []
+
+
 class TestValidateParams:
     def test_baseline_experiment_set_is_valid(self):
-        rep = validate_params(ModelParams(r=0.1, sigma=0.2, E=1.0, T=1.0, alpha=0.9))
-        assert rep.valid
+        assert violations(ModelParams(r=0.1, sigma=0.2, E=1.0, T=1.0, alpha=0.9)) == []
 
     def test_zero_sigma_rejected(self):
-        rep = validate_params(ModelParams(r=0.1, sigma=0.0, E=1.0, T=1.0))
-        assert "sigma must be positive" in rep.violations
+        bad = violations(ModelParams(r=0.1, sigma=0.0, E=1.0, T=1.0))
+        assert "sigma must be positive" in bad
 
     def test_alpha_above_one_rejected(self):
-        rep = validate_params(ModelParams(r=0.1, sigma=0.2, E=1.0, T=1.0, alpha=1.5))
-        assert "alpha must lie in (0,1]" in rep.violations
+        bad = violations(ModelParams(r=0.1, sigma=0.2, E=1.0, T=1.0, alpha=1.5))
+        assert "alpha must lie in (0,1]" in bad
 
     def test_multiple_violations_all_reported(self):
-        rep = validate_params(ModelParams(r=-1.0, sigma=-1.0, E=0.0, T=0.0, alpha=0.0))
-        assert len(rep.violations) == 5
+        bad = violations(ModelParams(r=-1.0, sigma=-1.0, E=0.0, T=0.0, alpha=0.0))
+        assert len(bad) == 5
 
     def test_nan_rejected(self):
-        rep = validate_params(ModelParams(r=math.nan, sigma=0.2, E=1.0, T=1.0))
-        assert any("finite" in v for v in rep.violations)
+        bad = violations(ModelParams(r=math.nan, sigma=0.2, E=1.0, T=1.0))
+        assert any("finite" in v for v in bad)
 
 
 class TestBuildGrid:

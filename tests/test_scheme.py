@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -10,12 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fronfix.scheme as scheme
-from fronfix.cfkernel import (
-    HistoryAccumulator,
-    cf_weights,
-    empty_history,
-    history_push,
-)
+from fronfix.cfkernel import cf_weights, history_push
 from fronfix.errors import (
     DenominatorNearZeroError,
     DomainError,
@@ -24,7 +20,6 @@ from fronfix.errors import (
 )
 from fronfix.model import ModelParams, SolutionSurface, build_grid
 from fronfix.scheme import (
-    FixedPointOptions,
     StepState,
     _StepConstants,
     initial_state,
@@ -45,7 +40,7 @@ def step_rows(p, g, w, xf_next, xf_curr):
     """The stepper's rows (A, B, C), as the step constants build them."""
     v = np.zeros(g.M + 1)
     v[0] = 1.0 - xf_curr
-    state = StepState(v_curr=v, xf_curr=xf_curr, acc=empty_history(g.M + 1, w), n=0)
+    state = StepState(v_curr=v, xf_curr=xf_curr, sums=np.zeros(g.M + 1), w=w, n=0)
     step = _StepConstants(state, p, g)
     upper, lower, _ = step.bands(xf_next)
     return upper, step.b_diag, lower
@@ -172,7 +167,7 @@ class TestAssemble:
         sys = level_system(monkeypatch, _StepConstants(state, p, g), xf_n)
 
         for m in (1, 2, 3):
-            expected = state.acc.sums[m] - v[m] - (
+            expected = state.sums[m] - v[m] - (
                 a_h * v[m + 1] + b_h * v[m] + c_h * v[m - 1]
             )
             if m == 1:
@@ -226,15 +221,12 @@ class TestFreeBoundaryUpdate:
 
         om1, om2, _ = _StepConstants(state, p, g).omega_parts(u[0], u[2])
         # shift the stored history sum at node 1 to force om1 == om2
-        sums = state.acc.sums.copy()
+        sums = state.sums.copy()
         sums[1] += om2 - om1
-        doctored = dataclasses.replace(state.acc, sums=sums)
-        state2 = state.__class__(
-            v_curr=state.v_curr, xf_curr=state.xf_curr, acc=doctored, n=state.n,
-        )
+        state2 = dataclasses.replace(state, sums=sums)
         assert boundary_update(state2, u, p, g) == pytest.approx(1.0, rel=1e-12)
 
-    def test_symbolic_elimination_oracle(self):
+    def test_symbolic_elimination_oracle(self, monkeypatch):
         # solve the m=1 row plus the boundary closure for xf symbolically and
         # compare against the boundary time_step converges to
         a_s, b_s, th, be, om, xf_c, g0, g1 = sp.symbols(
@@ -266,12 +258,13 @@ class TestFreeBoundaryUpdate:
         g0_v = 1.0 + (g.dy**2 / p.sigma**2) * p.r
 
         # the stepper's fixed point and its level
-        stepped = time_step(state, p, g, FixedPointOptions(tol_xf=1e-14))
+        monkeypatch.setattr(scheme, "_TOL_XF", 1e-14)
+        stepped = time_step(state, p, g)
         xf_star, u = stepped.xf_curr, stepped.v_curr
         subs = {
             th: theta_v, be: beta_v, om: omega_v, b_s: b_v, xf_c: state.xf_curr,
             g0: g0_v, g1: g1_v, u2: u[2], v0: state.v_curr[0], v1: state.v_curr[1],
-            v2: state.v_curr[2], hist1: state.acc.sums[1],
+            v2: state.v_curr[2], hist1: state.sums[1],
         }
         roots = [complex(s.subs(subs).evalf()) for s in sol]
         best = min(roots, key=lambda z: abs(z - xf_star))
@@ -347,13 +340,9 @@ class TestTimeStep:
         state = time_step(initial_state(p, g), p, g)
 
         def with_shift(shift: float):
-            sums = state.acc.sums.copy()
+            sums = state.sums.copy()
             sums[1] += shift
-            return state.__class__(
-                v_curr=state.v_curr, xf_curr=state.xf_curr,
-                acc=dataclasses.replace(state.acc, sums=sums),
-                n=state.n,
-            )
+            return dataclasses.replace(state, sums=sums)
 
         # the history shift feeds the interior solve too, so settle it
         # self-consistently before handing the state to the stepper
@@ -371,17 +360,39 @@ class TestTimeStep:
         assert stepped.stats.iterations == 1
         assert stepped.xf_curr == pytest.approx(state.xf_curr, abs=1e-10)
 
-    def test_non_convergence_carries_iterates(self, base_params):
+    def test_non_convergence_carries_iterates(self, base_params, monkeypatch):
         from fronfix.errors import NonConvergenceError
 
         g, _ = make_setup(base_params, M=50, mu=20.0, Y=4.0)
+        monkeypatch.setattr(scheme, "_TOL_XF", 1e-16)
+        monkeypatch.setattr(scheme, "_MAX_ITER", 3)
         with pytest.raises(NonConvergenceError) as err:
-            time_step(
-                initial_state(base_params, g), base_params, g,
-                FixedPointOptions(tol_xf=1e-16, max_iter=3),
-            )
+            time_step(initial_state(base_params, g), base_params, g)
         assert err.value.step == 0
         assert len(err.value.last_iterates) == 2
+
+    @pytest.mark.parametrize("node, rule", [
+        (0, r"v\[0\] = 1 - xf"),
+        (-1, r"v\[M\] = 0"),
+    ], ids=["value-matching", "far-field"])
+    def test_state_off_its_edges_is_rejected(self, fractional_params, node, rule):
+        p = fractional_params
+        g, w = make_setup(p, M=20, mu=10.0, Y=4.0)
+        state = synthetic_state(p, g, w, 0.9, seed=5)
+        v = state.v_curr.copy()
+        v[node] += 1e-3
+        with pytest.raises(ValidationError, match=rule):
+            time_step(dataclasses.replace(state, v_curr=v), p, g)
+
+    def test_fractional_step_leaves_its_input_unchanged(self, fractional_params):
+        p = fractional_params
+        g, _ = make_setup(p, M=50, mu=20.0, Y=4.0)
+        state = time_step(time_step(initial_state(p, g), p, g), p, g)
+        assert np.any(state.sums != 0.0)
+        v, sums = state.v_curr.tobytes(), state.sums.tobytes()
+        nxt = time_step(state, p, g)
+        assert state.v_curr.tobytes() == v and state.sums.tobytes() == sums
+        assert nxt.sums.tobytes() != sums
 
 
 def synthetic_state(p, g, w, xf, seed):
@@ -393,8 +404,7 @@ def synthetic_state(p, g, w, xf, seed):
     v[0] = 1.0 - xf
     v[-1] = 0.0
     sums = np.zeros(y.size) if p.classical else rng.normal(0.0, 1e-3, y.size)
-    acc = HistoryAccumulator(sums=sums, level=3, weights=w)
-    return StepState(v_curr=v, xf_curr=xf, acc=acc, n=3)
+    return StepState(v_curr=v, xf_curr=xf, sums=sums, w=w, n=3)
 
 
 def row_margin(step, x):
@@ -452,20 +462,38 @@ class TestRunSolver:
         levels = [state.v_curr]
         for _ in range(g.N):
             nxt = time_step(state, p, g)
-            acc = history_push(state.acc, nxt.v_curr, state.v_curr)
-            state = StepState(v_curr=nxt.v_curr, xf_curr=nxt.xf_curr, acc=acc, n=nxt.n)
+            sums = history_push(state.sums, nxt.v_curr, state.v_curr, state.w)
+            state = dataclasses.replace(nxt, sums=sums)
             levels.append(state.v_curr)
         pushes = []
         push = scheme.history_push
 
-        def counting(acc, v_new, v_prev):
-            pushes.append(acc.level)
-            return push(acc, v_new, v_prev)
+        def counting(sums, v_new, v_prev, w):
+            pushes.append(w.decay)
+            return push(sums, v_new, v_prev, w)
 
         monkeypatch.setattr(scheme, "history_push", counting)
         run = run_solver(p, 40, 20.0, 4.0)
         assert len(pushes) == (0 if alpha == 1.0 else g.N)
         assert np.array_equal(run.surface.v, np.array(levels))
+
+    def test_classical_march_bits_are_pinned(self):
+        # surfaces, boundaries, inner iterations and closure residuals of 12
+        # classical runs, hashed; a change to the march's arithmetic shows up
+        # here. Classical runs take exp or expm1 of no finite argument, so
+        # the bits do not depend on the platform's libm.
+        h = hashlib.sha256()
+        for r, sigma in ((0.1, 0.2), (0.05, 0.3)):
+            for M in (100, 200, 400):
+                for mu in (5, 20):
+                    run = run_solver(ModelParams(r, sigma, 1.0, 1.0), M, mu, 4.0)
+                    h.update(run.surface.v.tobytes())
+                    h.update(run.surface.xf.tobytes())
+                    h.update(np.array(run.iterations, dtype=np.int64).tobytes())
+                    h.update(np.array(run.closure_residuals).tobytes())
+        assert h.hexdigest() == (
+            "f45318ee340c1e287b16f0ff3e8f02d0e36543c1713ea3e1254dcb951a72ecfc"
+        )
 
     def test_production_equals_reference_smallest(self):
         # brute-force equivalence on a desk-size grid, all three orders
