@@ -2,7 +2,6 @@
 exponential-kernel fractional time derivative, plus validation tooling."""
 
 from .analysis import (
-    AmplificationQuery,
     AmplificationResult,
     AuditReport,
     Lemma1Report,
@@ -33,8 +32,6 @@ from .model import (
     ModelParams,
     SolutionSurface,
     build_grid,
-    from_fixed_domain,
-    to_fixed_domain,
     validate_params,
 )
 from .oracles import (

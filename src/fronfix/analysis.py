@@ -13,16 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cfkernel import cf_weights
+from .cfkernel import cf_weights, memory_exponent
 from .errors import DomainError, ValidationError
-from .model import GridSpec, ModelParams, SolutionSurface
+from .model import GridSpec, ModelParams, SolutionSurface, validate_params
 from .scheme import _Rows, price_at, run_solver
 
 __all__ = [
     "Lemma1Report",
     "AuditReport",
     "AuditViolation",
-    "AmplificationQuery",
     "AmplificationResult",
     "OrderEstimate",
     "StudyRow",
@@ -147,53 +146,51 @@ def monotonicity_audit(s: SolutionSurface, tolerance: float = 1e-9) -> AuditRepo
 
 
 @dataclass(frozen=True)
-class AmplificationQuery:
-    """Fourier-mode query: wavenumber b, temporal growth exponent a (both
-    nonzero), n_terms history terms, at the given model and grid."""
-
-    b: float
-    a: float
-    n_terms: int
-    params: ModelParams
-    grid: GridSpec
-
-
-@dataclass(frozen=True)
 class AmplificationResult:
     lam: float
     imag_residual: float
     memory_sum: float
 
 
-def amplification_factor(q: AmplificationQuery) -> AmplificationResult:
-    """Per-step growth factor of a Fourier mode under frozen coefficients.
+def amplification_factor(
+    p: ModelParams, g: GridSpec, b: float, a: float, n_terms: int
+) -> AmplificationResult:
+    """Per-step growth factor of a Fourier mode under frozen coefficients:
+    wavenumber b and temporal growth exponent a (both nonzero), n_terms
+    history terms, at the given model and grid.
 
     lam = (K - 2 sigma^2/dy^2 sin^2(b dy/2) - r)
         / (K + 2 sigma^2/dy^2 sin^2(b dy/2) + r),
-    K = 2 P sum_{k=1..n} exp(-k dtau (alpha/(1-alpha) + a)).
+    K = 2 P sum_{k=1..n} exp(-k dtau (alpha/(1-alpha) + a)),
+    P = (exp(alpha dtau/(1-alpha)) - 1)/(dtau alpha), the memory's prefactor.
 
     Also returns the residual of the imaginary-part constraint
     sin(b dy) (r - sigma^2/2)/dy, evaluated at a stationary boundary; it is
     reported for diagnostics, not enforced.
     """
-    p, g = q.params, q.grid
-    if q.n_terms < 1:
+    validate_params(p)
+    if n_terms < 1:
         raise ValidationError(["n_terms must be >= 1"])
-    if q.b == 0.0 or q.a == 0.0:
+    if b == 0.0 or a == 0.0:
         raise ValidationError(["b and a must be nonzero"])
     if p.classical:
         raise ValidationError(["amplification factor requires alpha < 1"])
-    prefactor = cf_weights(p.alpha, g.dtau).prefactor
-    if math.isinf(prefactor):  # inf * an underflowed memory sum would be NaN
-        raise DomainError(f"prefactor overflows at alpha = {p.alpha!r}, dtau = {g.dtau!r}")
+    try:  # inf * an underflowed memory sum would be NaN
+        prefactor = math.expm1(memory_exponent(p.alpha, g.dtau)) / (g.dtau * p.alpha)
+        if math.isinf(prefactor):
+            raise OverflowError
+    except OverflowError:
+        raise DomainError(
+            f"prefactor overflows at alpha = {p.alpha!r}, dtau = {g.dtau!r}"
+        ) from None
     ratio = p.alpha / (1.0 - p.alpha)
-    k = np.arange(1, q.n_terms + 1)
-    memory = float(np.sum(np.exp(-k * g.dtau * (ratio + q.a))))
+    k = np.arange(1, n_terms + 1)
+    memory = float(np.sum(np.exp(-k * g.dtau * (ratio + a))))
     big_k = 2.0 * prefactor * memory
-    sin_half = math.sin(q.b * g.dy / 2.0)
+    sin_half = math.sin(b * g.dy / 2.0)
     spatial = 2.0 * p.sigma**2 / (g.dy * g.dy) * sin_half * sin_half
     lam = (big_k - spatial - p.r) / (big_k + spatial + p.r)
-    residual = math.sin(q.b * g.dy) * (p.r - p.sigma**2 / 2.0) / g.dy
+    residual = math.sin(b * g.dy) * (p.r - p.sigma**2 / 2.0) / g.dy
     return AmplificationResult(lam=lam, imag_residual=residual, memory_sum=memory)
 
 

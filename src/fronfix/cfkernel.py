@@ -10,16 +10,14 @@ P = (exp(alpha*dtau/(1-alpha)) - 1) / (dtau*alpha). The truncation error of
 this quadrature is O(dtau) and independent of alpha; for a series linear in
 time it is exact. As alpha -> 1 the weights collapse (rho -> 0, P*rho -> 1/dtau)
 and the operator tends to the one-step backward difference. The classical mode
-alpha = 1 is that limit taken exactly: its weights have decay 0 (and an
-infinite prefactor), so its accumulated sums stay exact zeros.
+alpha = 1 is that limit taken exactly: its weights have decay 0, so its
+accumulated sums stay exact zeros.
 
 The scheme's rows take the memory through the row weight
-q_eff = dtau*alpha/(1 - rho), the q-scaled weight q = dtau*alpha/(e^x - 1)
-divided by rho (x = alpha*dtau/(1-alpha)). It is formed from expm1(-x), so it
-stays finite where P and 1/rho overflow, and it is exactly dtau at alpha = 1.
-At decay 0 the product P * sums is inf * 0 = NaN, not the backward
-difference: the stepper never forms it, and reaches that limit through
-q_eff = dtau instead.
+q_eff = dtau*alpha/(1 - rho) = 1/(P*rho), the q-scaled weight
+q = dtau*alpha/(e^x - 1) divided by rho (x = alpha*dtau/(1-alpha)). It is
+formed from expm1(-x), so it stays finite where P and 1/rho overflow, and it
+is exactly dtau at alpha = 1.
 
 The weighted sum is accumulated recursively: history_push multiplies the
 running sums by rho and adds the newest increment, so a time march costs O(1)
@@ -27,8 +25,11 @@ per node per step instead of O(n). At level n the sums are
 
     sums[m] = sum_{k=1..n} (v^{n+1-k}[m] - v^{n-k}[m]) * rho^k,
 
-a plain array that the stepper's state carries next to its CFWeights. The
-naive summation is kept as an oracle.
+a plain array that the stepper's state carries next to its CFWeights. In the
+march the memory is rho times the last step's band operator: a level's rows
+read (u - v) + S_n = Lambda_n, with Lambda_n the bands applied to u + v, so
+the push gives S_{n+1} = rho*Lambda_n. The naive summation is kept as an
+oracle.
 
 Note the continuous kernel definition carries a 1/(1-alpha) normalization that
 the discrete weights above absorb into P; the alpha -> 1 limit test pins the
@@ -48,6 +49,7 @@ from .errors import ValidationError
 __all__ = [
     "CFWeights",
     "cf_weights",
+    "memory_exponent",
     "history_sum_naive",
     "history_push",
 ]
@@ -60,8 +62,12 @@ class CFWeights:
     alpha: float
     dtau: float
     decay: float       # rho = exp(-alpha*dtau/(1-alpha)), in [0,1); 0 at alpha = 1
-    prefactor: float   # P = (exp(alpha*dtau/(1-alpha)) - 1)/(dtau*alpha), 1/years
     row_weight: float  # q_eff = dtau*alpha/(1 - rho), years; dtau at alpha = 1
+
+
+def memory_exponent(alpha: float, dtau: float) -> float:
+    """x = alpha*dtau/(1-alpha), so rho = exp(-x); inf at alpha = 1."""
+    return alpha * dtau / (1.0 - alpha) if alpha < 1.0 else math.inf
 
 
 def cf_weights(alpha: float, dtau: float) -> CFWeights:
@@ -70,16 +76,11 @@ def cf_weights(alpha: float, dtau: float) -> CFWeights:
         raise ValidationError(["dtau must be positive"])
     if not (math.isfinite(alpha) and 0.0 < alpha <= 1.0):
         raise ValidationError(["alpha must lie in (0,1]"])
-    expo = alpha * dtau / (1.0 - alpha) if alpha < 1.0 else math.inf
-    try:
-        prefactor = math.expm1(expo) / (dtau * alpha)
-    except OverflowError:
-        prefactor = math.inf  # alpha so close to 1 the prefactor exceeds float range
+    expo = memory_exponent(alpha, dtau)
     return CFWeights(
         alpha=alpha,
         dtau=dtau,
         decay=math.exp(-expo),
-        prefactor=prefactor,
         row_weight=dtau * alpha / (-math.expm1(-expo)),
     )
 

@@ -17,7 +17,6 @@ import sys
 from pathlib import Path
 
 from .analysis import (
-    AmplificationQuery,
     amplification_factor,
     lemma1_check,
     observed_order,
@@ -26,7 +25,7 @@ from .analysis import (
 from .errors import FronfixError, ValidationError
 from .model import ModelParams, build_grid, validate_params
 from .oracles import binomial_american_put, european_put_closed_form, psor_american_put
-from .reporting import emit_csv, emit_plot_script, emit_study_csv, emit_summary, fmt
+from .reporting import emit_csv, emit_study_csv, emit_summary, fmt
 from .scheme import price_at, run_solver
 
 __all__ = ["run_cli", "main"]
@@ -81,12 +80,16 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 def _num(cfg: dict, key: str, kind=float, many: bool = False):
     """cfg[key] as a number, or as a list of them from a comma list when many;
-    a malformed value is a validation error that names the key."""
+    a malformed value, or one that int() would change, is a validation error
+    that names the key."""
     val = cfg[key]
     try:
-        return [kind(tok) for tok in str(val).split(",") if tok] if many else kind(val)
-    except (TypeError, ValueError):
+        nums = [kind(tok) for tok in str(val).split(",") if tok] if many else kind(val)
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError([f"{key} must be numeric, got {val!r}"]) from None
+    if kind is int and isinstance(val, float) and not val.is_integer():
+        raise ValidationError([f"{key} must be an integer, got {val!r}"])
+    return nums
 
 
 def _params(cfg: dict) -> ModelParams:
@@ -119,7 +122,6 @@ def _cmd_solve(cfg: dict) -> int:
     emit_csv(run, out)
     rep = lemma1_check(p, run.grid, run.surface.xf)
     emit_summary(run, rep, out / "summary.json")
-    emit_plot_script(run, out / "boundary_value.svg")
     print(f"solved: N={run.grid.N} xf(T)={fmt(run.surface.xf[-1])} "
           f"price(S=E)={fmt(price)}")
     print(f"outputs in {out}")
@@ -170,7 +172,7 @@ def _cmd_stability(cfg: dict) -> int:
         for a in growths:
             for n in terms:
                 for b in bs:
-                    res = amplification_factor(AmplificationQuery(b, a, n, p, g))
+                    res = amplification_factor(p, g, b, a, n)
                     worst = max(worst, abs(res.lam))
                     lines.append(
                         f"{fmt(alpha)},{fmt(a)},{n},{fmt(b)},{fmt(res.lam)}"

@@ -16,7 +16,9 @@ class ValidationError(FronfixError, ValueError):
 
 
 class DomainError(FronfixError, ValueError):
-    """Arguments outside the mathematical domain of a transform."""
+    """An input or result outside the model's domain: a price from a march
+    whose final boundary is not positive (price_at), or an amplification
+    factor whose prefactor overflows (amplification_factor)."""
 
 
 class SingularPivotError(FronfixError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "ModelParams",
@@ -25,8 +25,6 @@ __all__ = [
     "SolutionSurface",
     "validate_params",
     "build_grid",
-    "to_fixed_domain",
-    "from_fixed_domain",
 ]
 
 
@@ -155,25 +153,3 @@ class SolutionSurface:
     @property
     def nodes(self) -> int:
         return self.v.shape[1]
-
-
-def to_fixed_domain(X: float, Xstar: float, E: float) -> tuple[float, float]:
-    """Map (asset price, boundary price) to (log-moneyness y, normalized boundary)."""
-    if Xstar <= 0 or E <= 0:
-        raise DomainError("Xstar and E must be positive")
-    if X < Xstar:
-        raise DomainError("X must not lie below the exercise boundary")
-    return math.log(X / Xstar), Xstar / E
-
-
-def from_fixed_domain(v: float, y: float, xf: float, E: float) -> tuple[float, float]:
-    """Map a dimensionless value back to (option price V, asset price X)."""
-    if not 0.0 <= v <= 1.0:
-        raise DomainError("v must lie in [0,1]")
-    if not 0.0 < xf <= 1.0:
-        raise DomainError("xf must lie in (0,1]")
-    if y < 0:
-        raise DomainError("y must be nonnegative")
-    if E <= 0:
-        raise DomainError("E must be positive")
-    return E * v, E * xf * math.exp(y)

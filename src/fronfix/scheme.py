@@ -15,6 +15,9 @@ spatial operator at levels n and n+1 to the exponential-memory time difference:
         = S[m] - v[m] - (A v[m+1] + B v[m] + C v[m-1]),
 
 with S the accumulated weighted-increment history (zero in classical mode).
+The memory is the last step's band operator scaled by rho: collecting terms,
+the row reads S + u - v = A w[m+1] + B w[m] + C w[m-1] with w = u + v, so the
+push S' = rho*(S + u - v) leaves S' = rho times that.
 The paper's triple, with the weight q = dtau*alpha/(e^x - 1),
 x = alpha*dtau/(1-alpha), is these rows times rho: the memory sum is attached
 to the new level, so its leading term rho*(u - v) is implicit, and dividing

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from fronfix.analysis import (
-    AmplificationQuery,
     amplification_factor,
     lemma1_check,
     monotonicity_audit,
@@ -109,7 +108,7 @@ def test_criterion_3_stability_scan():
             for n in (1, 10, 100):
                 for k in range(1, 21):
                     b = k * math.pi / (20.0 * g.dy)  # 20 values in (0, pi/dy]
-                    res = amplification_factor(AmplificationQuery(b, a, n, p, g))
+                    res = amplification_factor(p, g, b, a, n)
                     worst = max(worst, abs(res.lam))
                     count += 1
     elapsed = time.time() - t0

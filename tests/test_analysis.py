@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fronfix.analysis import (
-    AmplificationQuery,
     amplification_factor,
     lemma1_check,
     monotonicity_audit,
@@ -109,13 +108,13 @@ class TestAmplification:
         p = ModelParams(r=0.0, sigma=0.2, E=1.0, T=1.0, alpha=0.6)
         g = self.grid(p)
         b = 2.0 * math.pi / g.dy  # sin(b*dy/2) = sin(pi) = 0
-        res = amplification_factor(AmplificationQuery(b, 1.0, 10, p, g))
+        res = amplification_factor(p, g, b, 1.0, 10)
         assert res.lam == pytest.approx(1.0, abs=1e-12)
 
     def test_modulus_below_one_with_positive_rate(self):
         p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=1.0, alpha=0.6)
         g = self.grid(p)
-        res = amplification_factor(AmplificationQuery(1.7, 0.5, 25, p, g))
+        res = amplification_factor(p, g, 1.7, 0.5, 25)
         assert abs(res.lam) < 1.0
 
     def test_desk_scale_scan_is_stable(self, base_params):
@@ -127,7 +126,7 @@ class TestAmplification:
                 for n in (1, 10, 100):
                     for k in range(1, 21):
                         b = k * math.pi / (20.0 * g.dy)
-                        res = amplification_factor(AmplificationQuery(b, a, n, p, g))
+                        res = amplification_factor(p, g, b, a, n)
                         worst = max(worst, abs(res.lam))
         assert worst < 1.0
 
@@ -135,21 +134,29 @@ class TestAmplification:
         p = ModelParams(0.1, 0.2, 1.0, 1.0, 0.6)
         g = self.grid(p)
         with pytest.raises(ValidationError):
-            amplification_factor(AmplificationQuery(1.0, 1.0, 0, p, g))
+            amplification_factor(p, g, 1.0, 1.0, 0)
         with pytest.raises(ValidationError):
-            amplification_factor(AmplificationQuery(0.0, 1.0, 5, p, g))
+            amplification_factor(p, g, 0.0, 1.0, 5)
         with pytest.raises(ValidationError):
-            amplification_factor(AmplificationQuery(1.0, 0.0, 5, p, g))
+            amplification_factor(p, g, 1.0, 0.0, 5)
         with pytest.raises(ValidationError):
-            amplification_factor(
-                AmplificationQuery(1.0, 1.0, 5, ModelParams(0.1, 0.2, 1.0, 1.0), g)
-            )
+            amplification_factor(ModelParams(0.1, 0.2, 1.0, 1.0), g, 1.0, 1.0, 5)
+        for alpha in (0.0, 1.5, -0.3, math.nan):  # orders outside the model
+            with pytest.raises(ValidationError, match="alpha"):
+                amplification_factor(ModelParams(0.1, 0.2, 1.0, 1.0, alpha), g, 1.0, 1.0, 5)
 
     def test_overflowing_prefactor_is_a_domain_error(self):
-        # the prefactor overflows and the memory sum underflows: no NaN lambda
-        p = ModelParams(0.1, 0.2, 1.0, 1.0, 0.999999)
-        with pytest.raises(DomainError, match="prefactor overflows"):
-            amplification_factor(AmplificationQuery(1.0, 1.0, 5, p, self.grid(p)))
+        # the prefactor overflows and the memory sum underflows: no NaN lambda.
+        # At 0.999999 expm1 itself overflows; at 0.9999549 (x = 709.5) expm1
+        # is finite and the division by dtau*alpha = 0.032 overflows
+        for alpha in (0.999999, 0.9999549):
+            p = ModelParams(0.1, 0.2, 1.0, 1.0, alpha)
+            g = self.grid(p)
+            x = alpha * g.dtau / (1.0 - alpha)
+            if alpha == 0.9999549:
+                assert math.isfinite(math.expm1(x)) and g.dtau * alpha < 0.1
+            with pytest.raises(DomainError, match="prefactor overflows"):
+                amplification_factor(p, g, 1.0, 1.0, 5)
 
     @given(
         b=st.floats(min_value=0.05, max_value=50.0),
@@ -161,10 +168,8 @@ class TestAmplification:
     def test_periodicity_in_wavenumber(self, b, a, alpha, n):
         p = ModelParams(0.1, 0.2, 1.0, 1.0, alpha)
         g = build_grid(p, M=50, mu=10.0, Y=4.0)
-        q1 = amplification_factor(AmplificationQuery(b, a, n, p, g))
-        q2 = amplification_factor(
-            AmplificationQuery(b + 2.0 * math.pi / g.dy, a, n, p, g)
-        )
+        q1 = amplification_factor(p, g, b, a, n)
+        q2 = amplification_factor(p, g, b + 2.0 * math.pi / g.dy, a, n)
         assert q1.lam == pytest.approx(q2.lam, rel=1e-9, abs=1e-12)
 
     @given(
@@ -176,7 +181,7 @@ class TestAmplification:
         p = ModelParams(0.1, 0.2, 1.0, 1.0, alpha)
         g = build_grid(p, M=50, mu=10.0, Y=4.0)
         sums = [
-            amplification_factor(AmplificationQuery(1.0, a, n, p, g)).memory_sum
+            amplification_factor(p, g, 1.0, a, n).memory_sum
             for n in (1, 2, 4, 8, 16, 200, 400)
         ]
         assert all(s2 >= s1 for s1, s2 in zip(sums, sums[1:]))

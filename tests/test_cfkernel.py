@@ -8,8 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fronfix.cfkernel import cf_weights, history_push, history_sum_naive
+from fronfix.cfkernel import cf_weights, history_push, history_sum_naive, memory_exponent
 from fronfix.errors import ValidationError
+
+
+def prefactor(w) -> float:
+    """The quadrature's P = (exp(x) - 1)/(dtau*alpha), x = alpha*dtau/(1-alpha)."""
+    return math.expm1(memory_exponent(w.alpha, w.dtau)) / (w.dtau * w.alpha)
 
 
 def continuous_cf_derivative(f_prime, alpha: float, t: float) -> float:
@@ -25,28 +30,26 @@ class TestWeights:
         w = cf_weights(0.5, 0.01)
         # alpha/(1-alpha) = 1, so decay = exp(-dtau)
         assert w.decay == pytest.approx(math.exp(-0.01), rel=1e-15)
-        assert w.prefactor == pytest.approx((math.exp(0.01) - 1.0) / 0.005, rel=1e-14)
+        assert w.row_weight == pytest.approx(0.005 / (1.0 - math.exp(-0.01)), rel=1e-14)
 
     def test_decay_in_unit_interval_and_prefactor_identity(self):
         for alpha in (0.05, 0.3, 0.6, 0.95):
             for dtau in (1e-4, 0.01, 0.25):
                 w = cf_weights(alpha, dtau)
                 assert 0.0 < w.decay < 1.0
-                expo = alpha * dtau / (1.0 - alpha)
-                assert w.prefactor * dtau * alpha == pytest.approx(
-                    math.expm1(expo), rel=1e-13
-                )
+                # q_eff = dtau*alpha/(1 - rho) = 1/(P*rho)
+                assert prefactor(w) * w.decay * w.row_weight == pytest.approx(1.0, rel=1e-13)
 
-    def test_alpha_one_has_decay_zero_and_infinite_prefactor(self):
-        # the classical mode is the alpha -> 1 limit, which overflow reaches first
+    def test_alpha_one_has_decay_zero(self):
+        # the classical mode is the alpha -> 1 limit, which underflow reaches first
         for alpha in (1.0, 1.0 - 1e-12):
             w = cf_weights(alpha, 0.01)
-            assert (w.decay, w.prefactor, w.dtau) == (0.0, math.inf, 0.01)
+            assert (w.decay, w.row_weight, w.dtau) == (0.0, 0.01 * alpha, 0.01)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.9, 0.999, 0.999999, 1.0])
     def test_row_weight_is_q_eff_bit_for_bit(self, alpha):
         # q_eff = dtau*alpha/(1 - rho), formed from expm1 so it stays finite
-        # where P overflows; exactly dtau in the classical mode
+        # where P overflows (alpha = 0.999999); exactly dtau in the classical mode
         dtau = 0.032
         w = cf_weights(alpha, dtau)
         if alpha == 1.0:
@@ -55,15 +58,13 @@ class TestWeights:
             expo = alpha * dtau / (1.0 - alpha)
             assert w.row_weight == dtau * alpha / (-math.expm1(-expo))
         assert math.isfinite(w.row_weight)
-        if alpha == 0.999999:
-            assert w.prefactor == math.inf
 
     def test_near_one_limit_is_backward_difference(self):
         # decay -> 0 and P*decay -> 1/dtau, so only the newest increment survives
         dtau = 0.02
         for alpha, rel in ((0.99, 0.15), (0.999, 2e-3), (0.9999, 2e-4)):
             w = cf_weights(alpha, dtau)
-            assert w.prefactor * w.decay == pytest.approx(1.0 / dtau, rel=rel)
+            assert prefactor(w) * w.decay == pytest.approx(1.0 / dtau, rel=rel)
         assert cf_weights(0.9999, dtau).decay < cf_weights(0.999, dtau).decay
 
     @pytest.mark.parametrize("alpha,dtau", [(0.0, 0.1), (1.2, 0.1), (0.5, 0.0), (0.5, -1.0)])
@@ -153,7 +154,7 @@ class TestDerivativeApply:
         field = np.full(4, 2.5)
         for _ in range(5):
             sums = history_push(sums, field, field, w)
-        assert np.all(w.prefactor * sums == 0.0)
+        assert np.all(prefactor(w) * sums == 0.0)
 
     def test_linear_series_is_exact(self):
         # piecewise-linear quadrature integrates a linear function exactly
@@ -166,7 +167,7 @@ class TestDerivativeApply:
         exact = continuous_cf_derivative(lambda s: 1.0, alpha, t)
         closed = (1.0 - math.exp(-alpha * t / (1.0 - alpha))) / alpha
         assert exact == pytest.approx(closed, rel=1e-10)
-        assert w.prefactor * sums[0] == pytest.approx(exact, rel=1e-10)
+        assert prefactor(w) * sums[0] == pytest.approx(exact, rel=1e-10)
 
     def test_quadratic_series_convergence_under_halving(self):
         # manufactured smooth series: the piecewise-linear memory quadrature
@@ -183,7 +184,7 @@ class TestDerivativeApply:
                 sums = history_push(
                     sums, np.array([(n * dtau) ** 2]), np.array([((n - 1) * dtau) ** 2]), w
                 )
-            errors.append(abs(w.prefactor * sums[0] - exact))
+            errors.append(abs(prefactor(w) * sums[0] - exact))
         for coarse, fine in zip(errors, errors[1:]):
             assert coarse / fine == pytest.approx(4.0, rel=0.1)
             assert coarse / fine > 1.8  # at least first order
@@ -194,7 +195,7 @@ class TestDerivativeApply:
         sums = np.zeros(1)
         sums = history_push(sums, np.array([0.3]), np.array([0.1]), w)
         bd = (0.3 - 0.1) / dtau
-        assert w.prefactor * sums[0] == pytest.approx(bd, rel=1e-3)
+        assert prefactor(w) * sums[0] == pytest.approx(bd, rel=1e-3)
 
     @given(
         alpha=st.floats(min_value=0.1, max_value=0.9),
@@ -212,7 +213,7 @@ class TestDerivativeApply:
             sums = np.zeros(1)
             for prev, new in zip(series, series[1:]):
                 sums = history_push(sums, np.array([new]), np.array([prev]), w)
-            return w.prefactor * sums[0]
+            return prefactor(w) * sums[0]
 
         combo = [ai + lam * bi for ai, bi in zip(a, b)]
         lhs = accumulate(combo)

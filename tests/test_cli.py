@@ -8,7 +8,6 @@ import struct
 import subprocess
 import sys
 import types
-import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +16,7 @@ import pytest
 import fronfix.cli
 from fronfix.cli import run_cli
 from fronfix.model import ModelParams, SolutionSurface
-from fronfix.reporting import emit_csv, emit_plot_script, emit_surface_csv
+from fronfix.reporting import emit_csv, emit_surface_csv
 from fronfix.scheme import run_solver
 
 SRC = str(Path(fronfix.cli.__file__).resolve().parents[1])
@@ -33,8 +32,9 @@ class TestSolveMode:
     def test_flagship_example_writes_outputs(self, tmp_path):
         code = run_cli(SOLVE_FLAGS + ["--out", str(tmp_path)])
         assert code == 0
-        for name in ("surface.csv", "boundary.csv", "summary.json"):
-            assert (tmp_path / name).exists()
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "boundary.csv", "summary.json", "surface.csv",
+        ]
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["grid"]["N"] >= 1
         assert "achieved_horizon" in summary
@@ -98,7 +98,8 @@ class TestSolveMode:
         (["stability-scan", "--alphas", "0.3,x"], None, "alphas"),
         (["solve"], {"M": "abc"}, "M"),
         (["solve"], {"r": None}, "r"),
-    ], ids=["Y-flag", "alphas-flag", "M-config", "r-config"])
+        (["solve"], {"M": float("inf")}, "M"),
+    ], ids=["Y-flag", "alphas-flag", "M-config", "r-config", "M-config-inf"])
     def test_malformed_number_exits_one_naming_the_key(self, tmp_path, argv, config, key):
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -112,6 +113,40 @@ class TestSolveMode:
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith(f"validation error: {key} must be numeric")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("alphas", ["nan", "0", "1.5", "0.3,-0.3"])
+    def test_scan_order_outside_model_exits_one(self, tmp_path, capsys, alphas):
+        out = tmp_path / "out"
+        code = run_cli(["stability-scan", "--M", "40", "--mu", "10",
+                        "--alphas", alphas, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("validation error: alpha must")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key", [
+        ("solve", "M"),
+        ("order-study", "refinements"),
+        ("oracle-compare", "steps"),
+        ("oracle-compare", "Ms"),
+        ("oracle-compare", "Nt"),
+        ("stability-scan", "wavenumbers"),
+    ])
+    def test_non_integral_config_integer_exits_one(self, tmp_path, capsys, command, key):
+        # int() would truncate 20.7 to 20; the value is refused instead
+        config = {"M": 20, "mu": 5.0, "out": str(tmp_path / "out"), key: 20.7}
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert run_cli([command, "--config", str(tmp_path / "cfg.json")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"validation error: {key} must be an integer, got 20.7"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_config_integer_is_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"M": 40.0, "mu": 10.0, "out": str(tmp_path / "a")}))
+        assert run_cli(["solve", "--config", str(cfg)]) == 0
+        summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+        assert summary["grid"]["M"] == 40
 
     def test_unreadable_config_exits_one(self, tmp_path):
         assert run_cli(["solve", "--config", str(tmp_path / "nope.json")]) == 1
@@ -260,19 +295,3 @@ class TestEmission:
 
         emit_study_csv(tuple(), tmp_path / "empty.csv")
         assert (tmp_path / "empty.csv").read_text() == "Y,M,xf_final\n"
-
-    def test_svg_well_formed_and_complete(self, base_params, tmp_path):
-        run = self.run(base_params, M=10, mu=2.0, Y=1.0)
-        script = emit_plot_script(run, tmp_path / "plot.svg")
-        tree = ET.parse(tmp_path / "plot.svg")  # parses => well-formed XML
-        root = tree.getroot()
-        assert int(root.attrib["data-points"]) == run.surface.levels
-        ymin = float(root.attrib["data-ymin"])
-        ymax = float(root.attrib["data-ymax"])
-        assert ymin <= run.surface.xf.min()
-        assert ymax >= 1.0
-        polylines = root.findall(".//{http://www.w3.org/2000/svg}polyline")
-        pts = polylines[0].attrib["points"].split()
-        assert len(pts) == run.surface.levels
-        assert script.exists()
-        assert "boundary.csv" in script.read_text()

@@ -7,14 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fronfix.errors import DomainError, ValidationError
+from fronfix.errors import ValidationError
 from fronfix.model import (
     GridSpec,
     ModelParams,
     SolutionSurface,
     build_grid,
-    from_fixed_domain,
-    to_fixed_domain,
     validate_params,
 )
 
@@ -90,57 +88,6 @@ class TestBuildGrid:
         # achieved horizon covers T up to the float guard on exact divisions
         assert g.N * g.dtau >= p.T * (1.0 - 1e-9)
         assert (g.N - 1) * g.dtau < p.T
-
-
-class TestTransforms:
-    def test_boundary_maps_to_zero(self):
-        y, xf = to_fixed_domain(X=0.9, Xstar=0.9, E=1.0)
-        assert y == 0.0
-
-    def test_boundary_at_strike_has_unit_xf(self):
-        _, xf = to_fixed_domain(X=2.0, Xstar=1.0, E=1.0)
-        assert xf == 1.0
-
-    def test_log_identity(self):
-        y, _ = to_fixed_domain(X=0.9 * math.e, Xstar=0.9, E=1.0)
-        assert y == pytest.approx(1.0, rel=1e-15)
-
-    def test_below_boundary_rejected(self):
-        with pytest.raises(DomainError):
-            to_fixed_domain(X=0.5, Xstar=0.9, E=1.0)
-
-    def test_zero_value_maps_to_zero_price(self):
-        V, _ = from_fixed_domain(v=0.0, y=0.7, xf=0.9, E=1.0)
-        assert V == 0.0
-
-    def test_boundary_value_matches_intrinsic(self):
-        # at y = 0 the value 1 - xf corresponds to V = E*(1 - xf)
-        V, X = from_fixed_domain(v=1.0 - 0.8, y=0.0, xf=0.8, E=1.0)
-        assert V == pytest.approx(0.2)
-        assert X == pytest.approx(0.8)
-
-    def test_invariant_violations_rejected(self):
-        with pytest.raises(DomainError):
-            from_fixed_domain(v=1.5, y=0.0, xf=0.8, E=1.0)
-        with pytest.raises(DomainError):
-            from_fixed_domain(v=0.5, y=-0.1, xf=0.8, E=1.0)
-        with pytest.raises(DomainError):
-            from_fixed_domain(v=0.5, y=0.1, xf=0.0, E=1.0)
-
-    @given(
-        xstar=st.floats(min_value=1e-3, max_value=10.0, allow_nan=False),
-        gap=st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
-        strike=st.floats(min_value=1e-2, max_value=10.0, allow_nan=False),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_round_trip(self, xstar, gap, strike):
-        X = xstar + gap
-        y, xf = to_fixed_domain(X, xstar, strike)
-        if not (0.0 < xf <= 1.0):
-            return  # boundary above strike is outside the inverse's domain
-        _, X_back = from_fixed_domain(0.0, y, xf, strike)
-        assert X_back == pytest.approx(X, rel=1e-12)
-        assert strike * xf == pytest.approx(xstar, rel=1e-12)
 
 
 class TestSolutionSurface:

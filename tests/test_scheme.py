@@ -557,6 +557,36 @@ class TestRunSolver:
             return
         assert np.all(np.isfinite(run.surface.v))
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        alpha=st.floats(0.3, 0.99),
+        M=st.integers(20, 150),
+        mu=st.floats(5.0, 40.0),
+    )
+    @example(alpha=0.9, M=100, mu=20.0)  # a whole march, with |S| up to 1.1
+    @example(alpha=0.5803039836167343, M=79, mu=5.0)  # |A|, |C| near 1100 at step 10
+    def test_memory_is_rho_times_the_last_band_operator(self, alpha, M, mu):
+        # the level's rows read S + u - v = A w[m+1] + B w[m] + C w[m-1] with
+        # w = u + v, so the push S' = rho*(S + u - v) is rho times the bands on
+        # w, up to the rounding of the level solve, which scales with the terms
+        p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=1.0, alpha=alpha)
+        g = build_grid(p, M, mu, 4.0)
+        state = initial_state(p, g)
+        for _ in range(g.N):
+            try:
+                nxt = time_step(state, p, g)
+            except FronfixError:
+                return  # a typed failure ends the march; every step before it was checked
+            step = _StepConstants(state, p, g)
+            a, c, _ = step.bands(nxt.xf_curr)
+            w = nxt.v_curr + state.v_curr
+            rho, b = state.w.decay, step.b_diag
+            lam = a * w[2:] + b * w[1:-1] + c * w[:-2]
+            terms = rho * (abs(a) * abs(w[2:]) + abs(b) * abs(w[1:-1]) + abs(c) * abs(w[:-2]))
+            gap = np.abs(nxt.sums[1:-1] - rho * lam).max()
+            assert gap <= 1e-11 * max(1.0, np.abs(nxt.sums).max(), terms.max())
+            state = nxt
+
     def test_surface_levels_are_the_marched_states(self, fractional_params):
         p = fractional_params
         run = run_solver(p, 20, 10.0, 2.0)
