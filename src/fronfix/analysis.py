@@ -255,7 +255,8 @@ def observed_order(
         )
 
     spatial = [one(args) for args in spatial_args]
-    temporal = [one(args) for args in temporal_args]
+    # both families start from the base grid: march it once
+    temporal = spatial[:1] + [one(args) for args in temporal_args[1:]]
     sp_price = [row[2] for row in spatial]
     sp_xf = [row[3] for row in spatial]
     tm_price = [row[2] for row in temporal]

@@ -5,6 +5,11 @@ solver: a Cox-Ross-Rubinstein binomial tree, a projected-SOR Crank-Nicolson
 solve of the variational inequality on an asset-price grid, and the
 closed-form European put as a lower bound. All three assume classical
 Black-Scholes dynamics.
+
+The tree reads each level's node prices from two power tables built once,
+S0 * up**k and down**k; PSOR sweeps each colour as a strided slice of the
+grid through preallocated buffers. Both give the bits of the per-level
+loops they replaced, which tests/oracle_reference.py keeps.
 """
 
 from __future__ import annotations
@@ -64,14 +69,23 @@ def binomial_american_put(p: ModelParams, S0: float, steps: int) -> OraclePrice:
         raise ValidationError(["tree probability outside [0,1]; refine steps"])
     disc = math.exp(-p.r * dt)
 
-    j = np.arange(steps + 1)
-    prices = S0 * up ** (steps - j) * down**j
-    values = np.maximum(p.E - prices, 0.0)
+    k = np.arange(steps + 1)
+    s_up = S0 * up**k  # S0 * up**(level - j) is s_up[level - j]
+    down_k = down**k
+    values = np.maximum(p.E - s_up[::-1] * down_k, 0.0)
+    scratch = np.empty(steps)
     for level in range(steps - 1, -1, -1):
-        j = np.arange(level + 1)
-        prices = S0 * up ** (level - j) * down**j
-        values = disc * (prob * values[:-1] + (1.0 - prob) * values[1:])
-        values = np.maximum(values, p.E - prices)
+        cont = values[: level + 1]
+        tmp = scratch[: level + 1]
+        # disc * (prob * values[:-1] + (1 - prob) * values[1:]), in place
+        np.multiply(1.0 - prob, values[1 : level + 2], out=tmp)
+        np.multiply(prob, cont, out=cont)
+        np.add(cont, tmp, out=cont)
+        np.multiply(disc, cont, out=cont)
+        # maximum(continuation, E - prices)
+        np.multiply(s_up[level::-1], down_k[: level + 1], out=tmp)
+        np.subtract(p.E, tmp, out=tmp)
+        np.maximum(cont, tmp, out=cont)
     return OraclePrice(price=float(values[0]), method="binomial", resolution=steps)
 
 
@@ -87,11 +101,14 @@ def psor_american_put(
 ) -> OraclePrice:
     """Crank-Nicolson solve of the obstacle problem with projected SOR.
 
-    Uniform grid on [0, S_max]; each time level solves the linear
-    complementarity problem by over-relaxed sweeps projected onto the payoff.
-    The sweeps use a two-color ordering so the update vectorizes; boundary
-    rows are pinned to V(0) = E and V(S_max) = 0. boundary_estimate is the
-    largest grid price still inside the exercise region at the final level.
+    Uniform grid of M_s >= 3 intervals on [0, S_max] and N_t >= 1 steps;
+    each time level solves the linear complementarity problem by
+    over-relaxed sweeps projected onto the payoff. The sweeps use a two-colour
+    ordering so the update vectorizes: each colour is a strided slice (odd
+    nodes, then even) updated through two preallocated buffers, with the bits
+    of a sweep over index arrays. Boundary rows are pinned to V(0) = E and
+    V(S_max) = 0. boundary_estimate is the largest grid price still inside
+    the exercise region at the final level.
     """
     if not 0.0 < omega < 2.0:
         raise ValidationError(["omega must lie in (0,2)"])
@@ -99,8 +116,14 @@ def psor_american_put(
         raise ValidationError(["tol must be positive"])
     if S0 <= 0:
         raise ValidationError(["S0 must be positive"])
+    if M_s < 3:
+        raise ValidationError([f"Ms must be >= 3, got {M_s}"])
+    if N_t < 1:
+        raise ValidationError([f"Nt must be >= 1, got {N_t}"])
     if S_max is None:
         S_max = 4.0 * p.E
+    if not (math.isfinite(S_max) and S_max > 0):
+        raise ValidationError([f"S_max must be positive and finite, got {S_max}"])
     ds = S_max / M_s
     dt = p.T / N_t
     S = ds * np.arange(M_s + 1)
@@ -124,28 +147,47 @@ def psor_american_put(
     b_up = 0.5 * dt * up
 
     V = payoff.copy()
-    odd = np.arange(1, M_s, 2)
-    even = np.arange(2, M_s, 2)
+    rhs = np.empty(M_s - 1)  # the colours below hold views of it
+    colours = []
+    for first in (1, 2):  # odd nodes, then even; interior row = node - 1
+        node = slice(first, M_s, 2)
+        row = slice(first - 1, M_s - 1, 2)
+        mid = V[node]
+        colours.append((
+            mid, V[first - 1 : M_s - 1 : 2], V[first + 1 : M_s + 1 : 2],
+            rhs[row], a_lo[row], a_up[row], a_di[row], payoff[node],
+            np.empty_like(mid), np.empty_like(mid),
+        ))
+    relax = 1.0 - omega
     for _ in range(N_t):
-        rhs = b_lo * V[:-2] + b_di * V[1:-1] + b_up * V[2:]
-        Vn = np.maximum(V.copy(), payoff)
-        Vn[0] = p.E
-        Vn[-1] = 0.0
+        rhs[:] = b_lo * V[:-2] + b_di * V[1:-1] + b_up * V[2:]
+        np.maximum(V, payoff, out=V)
+        V[0] = p.E
+        V[-1] = 0.0
         converged = False
         for _sweep in range(max_sweeps):
             delta = 0.0
-            for color in (odd, even):
-                ci = color - 1  # index into interior arrays
-                gs = (rhs[ci] - a_lo[ci] * Vn[color - 1] - a_up[ci] * Vn[color + 1]) / a_di[ci]
-                new = np.maximum((1.0 - omega) * Vn[color] + omega * gs, payoff[color])
-                delta = max(delta, float(np.max(np.abs(new - Vn[color]))))
-                Vn[color] = new
+            for mid, left, right, rhs_c, lo_c, up_c, di_c, floor, gs, tmp in colours:
+                # gs = (rhs - a_lo * V[left] - a_up * V[right]) / a_di
+                np.multiply(lo_c, left, out=gs)
+                np.subtract(rhs_c, gs, out=gs)
+                np.multiply(up_c, right, out=tmp)
+                np.subtract(gs, tmp, out=gs)
+                np.divide(gs, di_c, out=gs)
+                # new = maximum((1 - omega) * V[mid] + omega * gs, payoff)
+                np.multiply(omega, gs, out=gs)
+                np.multiply(relax, mid, out=tmp)
+                np.add(tmp, gs, out=gs)
+                np.maximum(gs, floor, out=gs)
+                np.subtract(gs, mid, out=tmp)
+                np.abs(tmp, out=tmp)
+                delta = max(delta, float(tmp.max()))
+                mid[...] = gs
             if delta < tol:
                 converged = True
                 break
         if not converged:
             raise FronfixError("projected SOR failed to converge within max sweeps")
-        V = Vn
 
     exercised = np.nonzero(V <= payoff + 1e-7)[0]
     in_money = exercised[payoff[exercised] > 0]

@@ -426,7 +426,8 @@ def price_at(run: SolverRun, S: float) -> float:
     Linear interpolation in y within the grid; below the exercise boundary
     the price is the intrinsic value E - S; beyond the truncation bound the
     far-field value 0 is used. A march that ended at a boundary that is not
-    positive has no price: that raises DomainError, a numerical failure.
+    positive, or above the strike (xf > 1, which no American put has), has
+    no price: that raises DomainError, a numerical failure.
     """
     if S <= 0:
         raise ValidationError(["S must be positive"])
@@ -437,6 +438,11 @@ def price_at(run: SolverRun, S: float) -> float:
         raise DomainError(
             f"final boundary xf = {xf_final:.6g} at level {run.grid.N} is "
             "nonpositive; price undefined"
+        )
+    if xf_final > 1:
+        raise DomainError(
+            f"final boundary xf = {xf_final:.6g} at level {run.grid.N} is "
+            "above the strike; price undefined"
         )
     if S <= boundary_price:
         return E - S

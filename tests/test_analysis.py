@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fronfix.analysis as analysis
 from fronfix.analysis import (
     amplification_factor,
     lemma1_check,
@@ -16,7 +17,7 @@ from fronfix.analysis import (
 )
 from fronfix.errors import DomainError, ValidationError
 from fronfix.model import ModelParams, SolutionSurface, build_grid
-from fronfix.scheme import run_solver
+from fronfix.scheme import price_at, run_solver
 
 
 def make_surface(v, xf):
@@ -204,6 +205,25 @@ class TestObservedOrder:
         assert 1.0 <= est.spatial_rate <= 3.0
         assert len(est.spatial_table) == 3
         assert len(est.temporal_table) == 3
+
+
+    def test_base_grid_is_marched_once(self, base_params, monkeypatch):
+        # both families start from (base.M, base.mu); the row is shared
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:3])
+            return run_solver(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "run_solver", counting)
+        refinements = 3
+        base = build_grid(base_params, M=16, mu=5.0, Y=4.0)
+        est = observed_order(base_params, base, refinements=refinements)
+        assert len(calls) == 2 * refinements + 1
+        assert len(set(calls)) == len(calls)
+        run = run_solver(base_params, 16, 5.0, 4.0)
+        row = (run.grid.N, run.grid.dtau, price_at(run, base_params.E), float(run.surface.xf[-1]))
+        assert est.spatial_table[0] == est.temporal_table[0] == row
 
 
 class TestTruncationStudy:

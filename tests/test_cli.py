@@ -201,6 +201,23 @@ class TestOtherModes:
         assert payload["european"] <= payload["binomial"] + 1e-6
         assert abs(payload["front_fixing"] - payload["binomial"]) < 5e-3
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--Nt", "0"), ("--Nt", "-3"), ("--Ms", "0"), ("--Ms", "1"), ("--Ms", "2"),
+    ])
+    def test_oracle_compare_unsolvable_psor_grid_exits_one(self, tmp_path, flag, value):
+        # once a ZeroDivisionError or ValueError traceback, or (Nt < 0) exit 0
+        # with a PSOR price from no time step at all
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "fronfix.cli", "oracle-compare", "--M", "20", "--mu", "5",
+             "--steps", "50", flag, value],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith(f"validation error: {flag[2:]} must be >= ")
+        assert not (tmp_path / "out").exists()
+
 
 def reference_surface_csv(run) -> bytes:
     """surface.csv formatted one field at a time, as the writer once did."""

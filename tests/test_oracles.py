@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fronfix.errors import ValidationError
+import oracle_reference
+from fronfix.errors import FronfixError, ValidationError
 from fronfix.model import ModelParams
 from fronfix.oracles import (
     binomial_american_put,
@@ -108,6 +109,55 @@ class TestPSOR:
             psor_american_put(base_params, 1.0, 100, 100, 2.5)
         with pytest.raises(ValidationError):
             psor_american_put(base_params, 1.0, 100, 100, 1.5, tol=0.0)
+
+    @pytest.mark.parametrize("grid, key", [
+        ({"M_s": 0}, "Ms"), ({"M_s": 1}, "Ms"), ({"M_s": 2}, "Ms"),
+        ({"N_t": 0}, "Nt"), ({"N_t": -3}, "Nt"),
+        ({"S_max": 0.0}, "S_max"), ({"S_max": -4.0}, "S_max"),
+        ({"S_max": math.inf}, "S_max"), ({"S_max": math.nan}, "S_max"),
+    ])
+    def test_rejects_grid_it_cannot_solve(self, base_params, grid, key):
+        # these once died in a ZeroDivisionError or an empty-colour reduction,
+        # or (N_t < 0) returned a price without taking a step
+        kwargs = {"M_s": 40, "N_t": 30, **grid}
+        with pytest.raises(ValidationError, match=key):
+            psor_american_put(base_params, 1.0, **kwargs)
+
+
+def outcome(pricer, *args, **kwargs):
+    try:
+        res = pricer(*args, **kwargs)
+    except FronfixError as exc:
+        return (type(exc).__name__, str(exc))
+    return (res.price, res.boundary_estimate, res.method, res.resolution)
+
+
+class TestBitsOfThePerLevelLoops:
+    """The array-speed oracles give the bits of the loops they replaced."""
+
+    CASES = [
+        ModelParams(r=0.1, sigma=0.2, E=1.0, T=1.0),
+        ModelParams(r=0.0, sigma=0.3, E=1.0, T=0.5),
+        ModelParams(r=0.05, sigma=0.4, E=1.0, T=1e-9),
+        ModelParams(r=0.03, sigma=0.15, E=100.0, T=2.0),
+    ]
+
+    @pytest.mark.parametrize("p", CASES)
+    @pytest.mark.parametrize("steps", [1, 2, 3, 250])
+    def test_tree(self, p, steps):
+        for s0 in (0.8 * p.E, p.E, 1.3 * p.E, 5.0 * p.E):
+            assert outcome(binomial_american_put, p, s0, steps) == outcome(
+                oracle_reference.binomial_american_put, p, s0, steps
+            )
+
+    @pytest.mark.parametrize("p", CASES)
+    @pytest.mark.parametrize("M_s, N_t", [(3, 1), (4, 2), (40, 30), (41, 25)])
+    def test_psor(self, p, M_s, N_t):
+        # S_max is 4E: the last two spots sit on and beyond the grid's end
+        for s0 in (0.8 * p.E, p.E, 4.0 * p.E, 5.0 * p.E):
+            assert outcome(psor_american_put, p, s0, M_s, N_t) == outcome(
+                oracle_reference.psor_american_put, p, s0, M_s, N_t
+            )
 
 
 class TestOrderingChain:

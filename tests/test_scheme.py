@@ -661,6 +661,17 @@ class TestPricing:
             price_at(bad, base_params.E)
         assert not isinstance(err.value, ValidationError)
 
+    def test_final_boundary_above_strike_is_a_domain_error(self, base_params):
+        # xf > 1 puts the exercise boundary above the strike: no American put
+        run = run_solver(base_params, 20, 10.0, 1.0)
+        v, xf = run.surface.v.copy(), run.surface.xf.copy()
+        xf[-1] = 1.683
+        v[-1, 0] = 1.0 - xf[-1]
+        bad = dataclasses.replace(run, surface=SolutionSurface(v, xf))
+        with pytest.raises(DomainError, match=f"xf = 1.683 at level {run.grid.N}") as err:
+            price_at(bad, base_params.E)
+        assert not isinstance(err.value, ValidationError)
+
     def test_rejects_nonpositive_spot(self, base_params):
         run = run_solver(base_params, 20, 10.0, 1.0)
         with pytest.raises(ValidationError):
