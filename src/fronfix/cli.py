@@ -24,7 +24,12 @@ from .analysis import (
 )
 from .errors import FronfixError, ValidationError
 from .model import ModelParams, build_grid, validate_params
-from .oracles import binomial_american_put, european_put_closed_form, psor_american_put
+from .oracles import (
+    binomial_american_put,
+    check_oracle_inputs,
+    european_put_closed_form,
+    psor_american_put,
+)
 from .reporting import emit_csv, emit_study_csv, emit_summary, fmt
 from .scheme import price_at, run_solver
 
@@ -185,12 +190,13 @@ def _cmd_stability(cfg: dict) -> int:
 def _cmd_oracle_compare(cfg: dict) -> int:
     p = _params(cfg)
     s0 = _num(cfg, "S0") if cfg["S0"] is not None else p.E
+    steps, M_s, N_t = _num(cfg, "steps", int), _num(cfg, "Ms", int), _num(cfg, "Nt", int)
+    omega = _num(cfg, "omega")
+    check_oracle_inputs(s0, steps=steps, M_s=M_s, N_t=N_t, omega=omega)  # before any march
     run = run_solver(p, _num(cfg, "M", int), _num(cfg, "mu"), _single_Y(cfg))
     ff_price = price_at(run, s0)
-    tree = binomial_american_put(p, s0, _num(cfg, "steps", int))
-    psor = psor_american_put(
-        p, s0, _num(cfg, "Ms", int), _num(cfg, "Nt", int), _num(cfg, "omega")
-    )
+    tree = binomial_american_put(p, s0, steps)
+    psor = psor_american_put(p, s0, M_s, N_t, omega)
     euro = european_put_closed_form(p, s0)
     payload = {
         "S0": s0,

@@ -24,6 +24,7 @@ from .model import ModelParams
 
 __all__ = [
     "OraclePrice",
+    "check_oracle_inputs",
     "binomial_american_put",
     "psor_american_put",
     "european_put_closed_form",
@@ -38,6 +39,30 @@ class OraclePrice:
     boundary_estimate: float | None = None
 
 
+def check_oracle_inputs(
+    S0: float,
+    *,
+    steps: int | None = None,
+    M_s: int | None = None,
+    N_t: int | None = None,
+    omega: float | None = None,
+) -> None:
+    """Raise a ValidationError listing every input the oracles cannot price.
+
+    Each oracle passes the inputs it uses (None: not used), and
+    `fronfix oracle-compare` passes them all before anything runs."""
+    bad = []
+    if omega is not None and not 0.0 < omega < 2.0:
+        bad.append("omega must lie in (0,2)")
+    if not (math.isfinite(S0) and S0 > 0):
+        bad.append(f"S0 must be positive and finite, got {S0}")
+    for name, value, least in (("steps", steps, 1), ("Ms", M_s, 3), ("Nt", N_t, 1)):
+        if value is not None and value < least:
+            bad.append(f"{name} must be >= {least}, got {value}")
+    if bad:
+        raise ValidationError(bad)
+
+
 def _norm_cdf(x: float) -> float:
     # standard normal CDF through erfc; relative error well below 1e-12
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
@@ -45,8 +70,7 @@ def _norm_cdf(x: float) -> float:
 
 def european_put_closed_form(p: ModelParams, S0: float) -> float:
     """Black-Scholes put value (the American price can never fall below it)."""
-    if S0 <= 0:
-        raise ValidationError(["S0 must be positive"])
+    check_oracle_inputs(S0)
     vol = p.sigma * math.sqrt(p.T)
     if vol < 1e-12:
         return max(p.E * math.exp(-p.r * p.T) - S0, 0.0)
@@ -57,10 +81,7 @@ def european_put_closed_form(p: ModelParams, S0: float) -> float:
 
 def binomial_american_put(p: ModelParams, S0: float, steps: int) -> OraclePrice:
     """Cox-Ross-Rubinstein backward induction with exercise at every node."""
-    if steps < 1:
-        raise ValidationError(["steps must be >= 1"])
-    if S0 <= 0:
-        raise ValidationError(["S0 must be positive"])
+    check_oracle_inputs(S0, steps=steps)
     dt = p.T / steps
     up = math.exp(p.sigma * math.sqrt(dt))
     down = 1.0 / up
@@ -110,16 +131,9 @@ def psor_american_put(
     V(S_max) = 0. boundary_estimate is the largest grid price still inside
     the exercise region at the final level.
     """
-    if not 0.0 < omega < 2.0:
-        raise ValidationError(["omega must lie in (0,2)"])
+    check_oracle_inputs(S0, M_s=M_s, N_t=N_t, omega=omega)
     if tol <= 0:
         raise ValidationError(["tol must be positive"])
-    if S0 <= 0:
-        raise ValidationError(["S0 must be positive"])
-    if M_s < 3:
-        raise ValidationError([f"Ms must be >= 3, got {M_s}"])
-    if N_t < 1:
-        raise ValidationError([f"Nt must be >= 1, got {N_t}"])
     if S_max is None:
         S_max = 4.0 * p.E
     if not (math.isfinite(S_max) and S_max > 0):

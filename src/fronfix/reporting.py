@@ -1,13 +1,40 @@
 """CSV and JSON emission for solver results.
 
-Numbers are serialized with 17 significant digits so parsing a CSV back
-reproduces the in-memory doubles bit for bit.
+Numbers are serialized with 17 significant digits, as `format(x, ".17g")`
+writes them, so parsing a CSV back reproduces the in-memory doubles bit for
+bit.
+
+`surface.csv` is formatted a block of levels at a time by `_g17_fields`, an
+array kernel that gives the bytes of `format(x, ".17g")` for every double:
+
+- Digits. With e = floor(log10|x|) and p = 16 - e, the digits are
+  D = round-half-even(|x| * 10**p). 10**p is held as H + L, two doubles
+  built from exact integers on first use, within 2**-105 * 10**p. |x| * H
+  is formed exactly as prod + err by Dekker's two-product on a Veltkamp
+  split (Dekker 1971), since numpy has no fused multiply-add. From 2**53 up
+  prod is an integer, so with t = err + |x| * L the integer part of the
+  product is prod + floor(t) and its fraction t - floor(t), together within
+  1e-14 of the exact |x| * 10**p.
+- Certification. A value is certified when the fraction is not within 1e-6
+  of 1/2 and the rounded D lies in [1e16, 1e17). No half-integer then lies
+  between the computed and the exact product, so both round to the same D,
+  and D has the 17 digits that `format` prints.
+- Fallback. `format` itself writes every other value: nan, +-inf, |x|
+  outside [1e-280, 1e280] (subnormals included), near-ties, values whose
+  log10 exponent is off by one (next to powers of ten), and a round-up to
+  10**17. Zeros take their own exact path. On a `run_solver` surface at
+  M=400 one value in 200,901 falls back.
+- Layout. %g's rules: fixed notation for -4 <= e < 17 and scientific
+  otherwise, with at least two exponent digits; trailing zeros stripped;
+  "-0" for negative zero. A field is 32 bytes with NUL padding, a row is
+  the level and node prefix and the v and V fields, and a block's bytes are
+  its rows with the NULs dropped, since no CSV byte is NUL.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +50,14 @@ __all__ = [
     "emit_study_csv",
     "emit_summary",
 ]
+
+_CHUNK_VALUES = 4096  # surface values formatted per block of levels
+_WORD = np.dtype("<u8")  # a field is four little-endian words
+_P_MIN, _P_MAX = -270, 300  # 10**p is tabulated; |x| in [1e-280, 1e280] needs -264..297
+_E_MIN, _E_MAX = 16 - _P_MAX, 16 - _P_MIN  # the decimal exponents e = 16 - p
+_VELTKAMP = 134217729.0  # 2**27 + 1 splits a double into two 26-bit halves
+_COMMA = np.uint64(ord(",")) << np.uint64(56)  # the last byte of a word
+_NEWLINE = np.uint64(ord("\n")) << np.uint64(56)
 
 
 def fmt(x: float) -> str:
@@ -45,24 +80,168 @@ def emit_boundary_csv(run: SolverRun, path: Path) -> None:
     _write_rows(path, "n,tau,xf,Xstar", rows)
 
 
+def _byte_masks(lo: int, hi: int) -> list[int]:
+    """Bytes [lo, hi) of a field's first 24 bytes as masks of its three words."""
+    mask = (1 << 8 * hi) - (1 << 8 * lo)
+    return [(mask >> 64 * k) & (2**64 - 1) for k in range(3)]
+
+
+def _power_of_ten(p: int) -> tuple[float, float]:
+    """10**p as H + L: H is 10**p rounded to a double, L the rounded rest."""
+    if p >= 0:
+        H = float(10**p)
+        return H, float(10**p - int(H))
+    d = 10**-p
+    num, den = (1 / d).as_integer_ratio()  # int / int rounds correctly
+    return num / den, (den - num * d) / (d * den)
+
+
+@functools.cache
+def _g17_tables():
+    """The kernel's lookup tables, built when the first surface is written."""
+    H, L = np.array([_power_of_ten(p) for p in range(_P_MIN, _P_MAX + 1)]).T
+    c = _VELTKAMP * H
+    H_hi = c - (c - H)
+    powers = (H, H_hi, H - H_hi, L)
+
+    # the word of each four-digit group '0000'..'9999', then the same words
+    # with trailing zeros as NUL
+    g = np.arange(10000)
+    quads = np.zeros(20000, np.uint64)
+    for i in range(4):
+        char = (48 + g // 10 ** (3 - i) % 10).astype(np.uint64) << np.uint64(8 * i)
+        quads[:10000] |= char
+        quads[10000:] |= np.where(g % 10 ** (4 - i) == 0, 0, char).astype(np.uint64)
+
+    # per decimal exponent: the head (the sign, then "0." and the zeros of
+    # fixed notation below 1; minus signs in the second half), the exponent
+    # of scientific notation, and the layout: e for fixed notation
+    # 0 <= e <= 16, 0 for scientific notation, 17 for fixed notation below 1
+    es = range(_E_MIN, _E_MAX + 1)
+    below_one = ["0." + "0" * (-e - 1) if -4 <= e < 0 else "" for e in es]
+    heads = _words(below_one + ["-" + h for h in below_one], 1)[:, 0]
+    tails = _words(["" if -4 <= e < 17 else f"e{e:+03d}" for e in es], 1)[:, 0]
+    layouts = np.array([e if 0 <= e < 17 else 17 if -4 <= e < 0 else 0 for e in es], np.intp)
+
+    # per layout l < 17: digits 1..l move down over byte 7 (move), the point
+    # goes after them (point) when a digit follows it (probe), and integer
+    # digits stripped as trailing zeros are '0' again (fill); layout 17 keeps
+    # every byte
+    masks = np.zeros((4, 3, 18), np.uint64)
+    for l in range(17):
+        for kind, (lo, hi) in enumerate([(7, 7 + l), (7 + l, 8 + l), (8 + l, 9 + l), (8, 8 + l)]):
+            masks[kind, :, l] = _byte_masks(lo, hi)
+    move, point, probe, fill = masks
+    masks = (move, ~(move | point), point & np.uint64(0x2E2E2E2E2E2E2E2E), probe,
+             fill & np.uint64(0x3030303030303030))
+    return powers, quads, heads, tails, layouts, masks
+
+
+def _g17_fields(x: np.ndarray, out: np.ndarray) -> int:
+    """Write the bytes of format(xi, ".17g") for each xi of the 1-D array x
+    into the rows of out, an (n, 4) array of little-endian words, with NUL
+    as padding. Returns how many values the scalar fallback wrote.
+
+    A field's bytes: 0-5 the head, 6 the first digit, 7 the point of
+    scientific notation, 8-23 the other 16 digits with trailing zeros as
+    NUL, 24-30 the exponent; byte 31 is left to the caller's separator.
+    Fixed notation with e >= 1 moves digits 1..e down over byte 7 and puts
+    the point after them."""
+    powers, quads, heads, tails, layouts, masks = _g17_tables()
+    H, H_hi, H_lo, L = powers
+    move, keep, point, probe, fill = masks
+    ax = np.abs(x)
+    fast = (ax >= 1e-280) & (ax <= 1e280)
+    a = np.where(fast, ax, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    ip = (16 - _P_MIN) - e  # the row of p = 16 - e
+    c = _VELTKAMP * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    h_hi, h_lo = H_hi[ip], H_lo[ip]
+    prod = a * H[ip]
+    t = ((a_hi * h_hi - prod) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo  # a * H - prod, exactly
+    t += a * L[ip]
+    floor_t = np.floor(t)
+    t -= floor_t
+    D = prod.astype(np.int64) + floor_t.astype(np.int64)
+    fast &= (D >= 10**16) & (np.abs(t - 0.5) > 1e-6)
+    D += t > 0.5
+    fast &= D < 10**17  # a round-up to 10**17 falls back too
+    D[~fast] = 0  # zeros print as "0"
+    ie = np.where(fast, e - _E_MIN, -_E_MIN)
+
+    lead = D // 10**16
+    D -= lead * 10**16
+    hi = D // 10**8
+    lo = D - hi * 10**8
+    g0 = hi // 10**4
+    g1 = hi - g0 * 10**4
+    g2 = lo // 10**4
+    g3 = lo - g2 * 10**4
+    z3 = g3 == 0  # the groups after g2 are zero, so g2's trailing zeros strip
+    z2 = z3 & (g2 == 0)
+    z1 = z2 & (g1 == 0)
+    w0 = heads[ie + len(tails) * np.signbit(x)] | (lead.astype(np.uint64) + 48) << np.uint64(48)
+    w1 = quads[g0 + 10000 * z1] | quads[g1 + 10000 * z2] << np.uint64(32)
+    w2 = quads[g2 + 10000 * z3] | quads[g3 + 10000] << np.uint64(32)
+
+    l = layouts[ie]
+    w1 |= fill[1][l]
+    w2 |= fill[2][l]
+    has_point = ((w1 & probe[1][l]) | (w2 & probe[2][l])) != 0
+    eight, top = np.uint64(8), np.uint64(56)
+    down = ((w0 >> eight) | (w1 << top), (w1 >> eight) | (w2 << top), w2 >> eight)
+    for k, w in enumerate((w0, w1, w2)):
+        out[:, k] = (down[k] & move[k][l]) | (w & keep[k][l]) | (point[k][l] * has_point)
+    out[:, 3] = tails[ie]
+
+    slow = np.flatnonzero(~fast & (ax != 0))
+    if slow.size:
+        out[slow] = _words([format(xi, ".17g") for xi in x[slow].tolist()], 4)
+    return slow.size
+
+
+def _words(strings: list[str], width: int) -> np.ndarray:
+    """ASCII strings as NUL-padded rows of `width` little-endian words."""
+    data = "".join(s.ljust(8 * width, "\0") for s in strings).encode()
+    return np.frombuffer(data, _WORD).reshape(len(strings), width)
+
+
 def emit_surface_csv(run: SolverRun, path: Path) -> None:
     """Columns: n, m, y, v, V (= E*v); n ascending then m ascending.
 
-    Each level is one `%` call, streamed to a sibling file that replaces
-    `path` only when complete, so a failed write leaves no truncated CSV."""
-    E, v, nodes = run.params.E, run.surface.v, run.surface.nodes
+    Blocks of levels are formatted by `_g17_fields` and streamed to a
+    sibling file that replaces `path` only when complete, so a failed write
+    leaves no truncated CSV."""
+    E, v, nodes, levels = run.params.E, run.surface.v, run.surface.nodes, run.surface.levels
     # compared as bits, since -0.0 == 0.0 as floats but prints differently
     reuse = np.array_equal((E * v).view(np.uint64), v.view(np.uint64))
-    tails = [f",{m},{fmt(m * run.grid.dy)},%s,%s\n" for m in range(nodes)]
-    values = "\n".join(["%.17g"] * nodes)
+    node_text = [f"{m},{fmt(m * run.grid.dy)}," for m in range(nodes)]
+    lw = -(-len(f"{levels - 1},") // 8)  # words of "n,"
+    pw = lw + -(-max(map(len, node_text)) // 8)  # words of "n,m,y,"
+    step = max(1, _CHUNK_VALUES // nodes)
+    # a row: "n,", "m,y,", the field of v and ",", the field of V and "\n"
+    rows = np.zeros((step, nodes, pw + 8), _WORD)
+    rows[:, :, lw:pw] = _words(node_text, pw - lw)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w") as fh:
-            fh.write("n,m,y,v,V\n")
-            for n in range(run.surface.levels):
-                vs = (values % tuple(v[n].tolist())).split("\n")
-                Vs = vs if reuse else (values % tuple((E * v[n]).tolist())).split("\n")
-                fh.write((str(n) + str(n).join(tails)) % tuple(chain.from_iterable(zip(vs, Vs))))
+        with open(tmp, "wb") as fh:
+            fh.write(b"n,m,y,v,V\n")
+            for n0 in range(0, levels, step):
+                block = np.ascontiguousarray(v[n0 : n0 + step])
+                k = len(block)
+                rows[:k, :, :lw] = _words([f"{n}," for n in range(n0, n0 + k)], lw)[:, None]
+                flat = rows[:k].reshape(k * nodes, pw + 8)
+                x = block.ravel()
+                _g17_fields(x, flat[:, pw : pw + 4])
+                if reuse:
+                    flat[:, pw + 4 :] = flat[:, pw : pw + 4]
+                else:
+                    _g17_fields(E * x, flat[:, pw + 4 :])
+                flat[:, pw + 3] |= _COMMA
+                flat[:, pw + 7] |= _NEWLINE
+                fh.write(flat.tobytes().translate(None, b"\0"))  # no CSV byte is NUL
         tmp.replace(path)
     finally:
         tmp.unlink(missing_ok=True)  # left only by a failed write

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import fronfix.cli
+import fronfix.reporting
 from fronfix.cli import run_cli
 from fronfix.model import ModelParams, SolutionSurface
 from fronfix.reporting import emit_csv, emit_surface_csv
@@ -218,6 +219,29 @@ class TestOtherModes:
         assert done.stderr.startswith(f"validation error: {flag[2:]} must be >= ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--Nt", "0", "Nt must be >= 1, got 0"),
+        ("--Ms", "2", "Ms must be >= 3, got 2"),
+        ("--steps", "0", "steps must be >= 1, got 0"),
+        ("--omega", "2.5", "omega must lie in (0,2)"),
+        ("--S0", "-1", "S0 must be positive and finite, got -1.0"),
+        ("--S0", "nan", "S0 must be positive and finite, got nan"),  # once a ValueError traceback
+        ("--S0", "inf", "S0 must be positive and finite, got inf"),
+    ])
+    def test_oracle_compare_refuses_before_any_work(
+        self, tmp_path, capsys, monkeypatch, flag, value, message
+    ):
+        # these were once checked only after the march and the tree had run
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran before the oracle inputs were checked")
+
+        for name in ("run_solver", "binomial_american_put", "psor_american_put"):
+            monkeypatch.setattr(fronfix.cli, name, no_work)
+        out = tmp_path / "out"
+        assert run_cli(["oracle-compare", flag, value, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert not out.exists()
+
 
 def reference_surface_csv(run) -> bytes:
     """surface.csv formatted one field at a time, as the writer once did."""
@@ -277,14 +301,20 @@ class TestEmission:
         emit_surface_csv(run, tmp_path / "surface.csv")
         assert (tmp_path / "surface.csv").read_bytes() == reference_surface_csv(run)
 
-    def test_failed_surface_write_leaves_no_file(self, tmp_path):
+    def test_failed_surface_write_leaves_no_file(self, tmp_path, monkeypatch):
+        # the writer slices blocks of levels; with one level per block the
+        # slice of level 2 is taken after levels 0 and 1 were written
+        seen = []
+
         class FailsAtLevel2(np.ndarray):
             def __getitem__(self, index):
-                if isinstance(index, int) and index == 2:
+                if isinstance(index, slice) and index.start == 2:
+                    seen.append(sorted(f.name for f in tmp_path.iterdir()))
                     raise RuntimeError("interrupted at level 2")
                 return super().__getitem__(index)
 
         run = classical_run(1.0)
+        monkeypatch.setattr(fronfix.reporting, "_CHUNK_VALUES", run.surface.nodes)
         surface = types.SimpleNamespace(
             v=run.surface.v.view(FailsAtLevel2),
             levels=run.surface.levels,
@@ -292,6 +322,7 @@ class TestEmission:
         )
         with pytest.raises(RuntimeError, match="level 2"):
             emit_surface_csv(dataclasses.replace(run, surface=surface), tmp_path / "surface.csv")
+        assert seen == [["surface.csv.tmp"]]
         assert list(tmp_path.iterdir()) == []
 
     def test_row_counts_and_order(self, base_params, tmp_path):
