@@ -148,7 +148,6 @@ def monotonicity_audit(s: SolutionSurface, tolerance: float = 1e-9) -> AuditRepo
 @dataclass(frozen=True)
 class AmplificationResult:
     lam: float
-    imag_residual: float
     memory_sum: float
 
 
@@ -163,10 +162,6 @@ def amplification_factor(
         / (K + 2 sigma^2/dy^2 sin^2(b dy/2) + r),
     K = 2 P sum_{k=1..n} exp(-k dtau (alpha/(1-alpha) + a)),
     P = (exp(alpha dtau/(1-alpha)) - 1)/(dtau alpha), the memory's prefactor.
-
-    Also returns the residual of the imaginary-part constraint
-    sin(b dy) (r - sigma^2/2)/dy, evaluated at a stationary boundary; it is
-    reported for diagnostics, not enforced.
     """
     validate_params(p)
     if n_terms < 1:
@@ -190,8 +185,7 @@ def amplification_factor(
     sin_half = math.sin(b * g.dy / 2.0)
     spatial = 2.0 * p.sigma**2 / (g.dy * g.dy) * sin_half * sin_half
     lam = (big_k - spatial - p.r) / (big_k + spatial + p.r)
-    residual = math.sin(b * g.dy) * (p.r - p.sigma**2 / 2.0) / g.dy
-    return AmplificationResult(lam=lam, imag_residual=residual, memory_sum=memory)
+    return AmplificationResult(lam=lam, memory_sum=memory)
 
 
 @dataclass(frozen=True)

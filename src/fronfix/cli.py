@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .analysis import (
@@ -30,44 +31,39 @@ from .oracles import (
     european_put_closed_form,
     psor_american_put,
 )
-from .reporting import emit_csv, emit_study_csv, emit_summary, fmt
+from .reporting import (
+    emit_boundary_csv,
+    emit_study_csv,
+    emit_summary,
+    emit_surface_csv,
+    fmt,
+    write_json,
+    write_rows,
+)
 from .scheme import price_at, run_solver
 
 __all__ = ["run_cli", "main"]
 
 
-def _add_model_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--r", type=float, default=None, help="risk-free rate per year")
-    sub.add_argument("--sigma", type=float, default=None, help="volatility per sqrt-year")
-    sub.add_argument("--E", type=float, default=None, help="strike price")
-    sub.add_argument("--T", type=float, default=None, help="expiry in years")
-    sub.add_argument("--alpha", type=float, default=None,
-                     help="fractional order in (0,1]; 1 = classical scheme")
-    sub.add_argument("--config", type=str, default=None,
-                     help="JSON file with defaults for any flag")
-    sub.add_argument("--out", type=str, default=None, help="output directory")
-
-
-def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--M", type=int, default=None, help="spatial node count")
-    sub.add_argument("--mu", type=float, default=None, help="grid ratio dtau/dy^2")
-    sub.add_argument("--Y", type=str, default=None,
-                     help="truncation bound in y = ln(X/X*) (default 4); comma list for studies")
-
-
-_DEFAULTS = {
-    "r": 0.1, "sigma": 0.2, "E": 1.0, "T": 1.0, "alpha": 1.0,
-    "M": 100, "mu": 20.0, "Y": None, "out": "out",
-    "refinements": 2, "S0": None, "steps": 5000,
-    "alphas": "0.3,0.6,0.9", "growth": "0.1,1,10",
-    "history_terms": "1,10,100", "wavenumbers": 20,
-    "omega": 1.4, "Ms": 400, "Nt": 400,
-}
+# (flag, type, default, help) of every subcommand; a flag's value comes from
+# the command line, else the config file, else this default
+_SHARED_FLAGS = (
+    ("r", float, 0.1, "risk-free rate per year"),
+    ("sigma", float, 0.2, "volatility per sqrt-year"),
+    ("E", float, 1.0, "strike price"),
+    ("T", float, 1.0, "expiry in years"),
+    ("alpha", float, 1.0, "fractional order in (0,1]; 1 = classical scheme"),
+    ("config", str, None, "JSON file with defaults for any flag"),
+    ("out", str, "out", "output directory"),
+    ("M", int, 100, "spatial node count"),
+    ("mu", float, 20.0, "grid ratio dtau/dy^2"),
+    ("Y", str, None, "truncation bound in y = ln(X/X*) (default 4); comma list for studies"),
+)
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    merged = dict(_DEFAULTS)
-    if getattr(args, "config", None):
+    merged = {name: default for name, _, default, _ in args.flags}
+    if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
@@ -76,9 +72,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ValidationError(["config file must hold a JSON object"])
         merged.update(loaded)
     for key, val in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if val is not None:
+        if key not in ("command", "config", "handler", "flags") and val is not None:
             merged[key] = val
     return merged
 
@@ -124,7 +118,8 @@ def _cmd_solve(cfg: dict) -> int:
     run = run_solver(p, _num(cfg, "M", int), _num(cfg, "mu"), _single_Y(cfg))
     price = price_at(run, p.E)  # a run with no price writes no file
     out = _out_dir(cfg)
-    emit_csv(run, out)
+    emit_boundary_csv(run, out / "boundary.csv")
+    emit_surface_csv(run, out / "surface.csv")
     rep = lemma1_check(p, run.grid, run.surface.xf)
     emit_summary(run, rep, out / "summary.json")
     print(f"solved: N={run.grid.N} xf(T)={fmt(run.surface.xf[-1])} "
@@ -147,16 +142,7 @@ def _cmd_order(cfg: dict) -> int:
     p = _params(cfg)
     base = build_grid(p, _num(cfg, "M", int), _num(cfg, "mu"), _single_Y(cfg))
     est = observed_order(p, base, _num(cfg, "refinements", int))
-    payload = {
-        "spatial_price_rates": list(est.spatial_price_rates),
-        "spatial_xf_rates": list(est.spatial_xf_rates),
-        "temporal_price_rates": list(est.temporal_price_rates),
-        "temporal_xf_rates": list(est.temporal_xf_rates),
-        "spatial_table": [list(r) for r in est.spatial_table],
-        "temporal_table": [list(r) for r in est.temporal_table],
-    }
-    out = _out_dir(cfg)
-    (out / "order.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(_out_dir(cfg) / "order.json", asdict(est))
     print(f"spatial rate (price): {est.spatial_rate:.3f}")
     print(f"temporal rate (price): {est.temporal_rate:.3f}")
     return 0
@@ -170,7 +156,7 @@ def _cmd_stability(cfg: dict) -> int:
     terms = _num(cfg, "history_terms", int, many=True)
     n_b = _num(cfg, "wavenumbers", int)
     bs = [k * math.pi / g.dy / n_b for k in range(1, n_b + 1)]
-    lines = ["alpha,a,n,b,lambda"]
+    rows = []
     worst = 0.0
     for alpha in alphas:
         p = ModelParams(p_base.r, p_base.sigma, p_base.E, p_base.T, alpha)
@@ -179,10 +165,8 @@ def _cmd_stability(cfg: dict) -> int:
                 for b in bs:
                     res = amplification_factor(p, g, b, a, n)
                     worst = max(worst, abs(res.lam))
-                    lines.append(
-                        f"{fmt(alpha)},{fmt(a)},{n},{fmt(b)},{fmt(res.lam)}"
-                    )
-    (_out_dir(cfg) / "stability.csv").write_text("\n".join(lines) + "\n")
+                    rows.append((fmt(alpha), fmt(a), str(n), fmt(b), fmt(res.lam)))
+    write_rows(_out_dir(cfg) / "stability.csv", "alpha,a,n,b,lambda", rows)
     print(f"max |lambda| over scan: {worst:.6f} ({'stable' if worst < 1 else 'UNSTABLE'})")
     return 0 if worst < 1.0 else 2
 
@@ -207,12 +191,33 @@ def _cmd_oracle_compare(cfg: dict) -> int:
         "psor_boundary": psor.boundary_estimate,
         "european": euro,
     }
-    (_out_dir(cfg) / "oracle_compare.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(_out_dir(cfg) / "oracle_compare.json", payload)
     for key in ("front_fixing", "binomial", "psor", "european"):
         print(f"{key:>13}: {payload[key]:.6f}")
     return 0
+
+
+# name: (help, handler, the flags it adds to _SHARED_FLAGS)
+_COMMANDS = {
+    "solve": ("run the solver and write surface/boundary/summary", _cmd_solve, ()),
+    "truncation-study": ("final boundary for several truncation bounds", _cmd_truncation, ()),
+    "order-study": ("observed convergence order on nested grids", _cmd_order, (
+        ("refinements", int, 2, None),
+    )),
+    "stability-scan": ("amplification-factor scan over Fourier modes", _cmd_stability, (
+        ("alphas", str, "0.3,0.6,0.9", None),
+        ("growth", str, "0.1,1,10", None),
+        ("history_terms", str, "1,10,100", None),
+        ("wavenumbers", int, 20, None),
+    )),
+    "oracle-compare": ("compare against binomial/PSOR/European oracles", _cmd_oracle_compare, (
+        ("S0", float, None, None),
+        ("steps", int, 5000, None),
+        ("omega", float, 1.4, None),
+        ("Ms", int, 400, None),
+        ("Nt", int, 400, None),
+    )),
+}
 
 
 def run_cli(argv: list[str]) -> int:
@@ -221,46 +226,21 @@ def run_cli(argv: list[str]) -> int:
         description="American put pricing by the front-fixing Crank-Nicolson scheme",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    for name, helptext in (
-        ("solve", "run the solver and write surface/boundary/summary"),
-        ("truncation-study", "final boundary for several truncation bounds"),
-        ("order-study", "observed convergence order on nested grids"),
-        ("stability-scan", "amplification-factor scan over Fourier modes"),
-        ("oracle-compare", "compare against binomial/PSOR/European oracles"),
-    ):
+    for name, (helptext, handler, extra) in _COMMANDS.items():
         sub = subs.add_parser(name, help=helptext)
-        _add_model_flags(sub)
-        _add_grid_flags(sub)
-        if name == "order-study":
-            sub.add_argument("--refinements", type=int, default=None)
-        if name == "stability-scan":
-            sub.add_argument("--alphas", type=str, default=None)
-            sub.add_argument("--growth", type=str, default=None)
-            sub.add_argument("--history-terms", dest="history_terms", type=str, default=None)
-            sub.add_argument("--wavenumbers", type=int, default=None)
-        if name == "oracle-compare":
-            sub.add_argument("--S0", type=float, default=None)
-            sub.add_argument("--steps", type=int, default=None)
-            sub.add_argument("--omega", type=float, default=None)
-            sub.add_argument("--Ms", type=int, default=None)
-            sub.add_argument("--Nt", type=int, default=None)
+        flags = _SHARED_FLAGS + extra
+        for flag, kind, _, flaghelp in flags:
+            sub.add_argument("--" + flag.replace("_", "-"), type=kind, help=flaghelp)
+        sub.set_defaults(handler=handler, flags=flags)
 
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
 
-    handlers = {
-        "solve": _cmd_solve,
-        "truncation-study": _cmd_truncation,
-        "order-study": _cmd_order,
-        "stability-scan": _cmd_stability,
-        "oracle-compare": _cmd_oracle_compare,
-    }
     try:
         cfg = _merge_config(args)
-        return handlers[args.command](cfg)
+        return args.handler(cfg)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1

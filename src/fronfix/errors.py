@@ -17,8 +17,8 @@ class ValidationError(FronfixError, ValueError):
 
 class DomainError(FronfixError, ValueError):
     """An input or result outside the model's domain: a price from a march
-    whose final boundary is not positive (price_at), or an amplification
-    factor whose prefactor overflows (amplification_factor)."""
+    whose boundary left (0, 1] (price_at), or an amplification factor whose
+    prefactor overflows (amplification_factor)."""
 
 
 class SingularPivotError(FronfixError):
@@ -33,13 +33,13 @@ class SingularPivotError(FronfixError):
 class DenominatorNearZeroError(FronfixError):
     """Free-boundary update denominator below the safety floor."""
 
-    def __init__(self, step: int, denominator: float, scale: float):
+    def __init__(self, step: int, denominator: float, floor: float):
         self.step = step
         self.denominator = denominator
-        self.scale = scale
+        self.floor = floor
         super().__init__(
             f"free-boundary denominator {denominator:.3e} below floor "
-            f"{1e-12 * scale:.3e} at step {step}"
+            f"{floor:.3e} at step {step}"
         )
 
 

@@ -30,6 +30,9 @@ __all__ = [
     "european_put_closed_form",
 ]
 
+_S_MAX_PER_STRIKE = 4.0  # PSOR's grid ends at S_max = 4E
+_MAX_SWEEPS = 10000  # PSOR sweeps per time level before it gives up
+
 
 @dataclass(frozen=True)
 class OraclePrice:
@@ -117,12 +120,10 @@ def psor_american_put(
     N_t: int = 400,
     omega: float = 1.4,
     tol: float = 1e-9,
-    S_max: float | None = None,
-    max_sweeps: int = 10000,
 ) -> OraclePrice:
     """Crank-Nicolson solve of the obstacle problem with projected SOR.
 
-    Uniform grid of M_s >= 3 intervals on [0, S_max] and N_t >= 1 steps;
+    Uniform grid of M_s >= 3 intervals on [0, S_max = 4E] and N_t >= 1 steps;
     each time level solves the linear complementarity problem by
     over-relaxed sweeps projected onto the payoff. The sweeps use a two-colour
     ordering so the update vectorizes: each colour is a strided slice (odd
@@ -134,8 +135,7 @@ def psor_american_put(
     check_oracle_inputs(S0, M_s=M_s, N_t=N_t, omega=omega)
     if tol <= 0:
         raise ValidationError(["tol must be positive"])
-    if S_max is None:
-        S_max = 4.0 * p.E
+    S_max = _S_MAX_PER_STRIKE * p.E
     if not (math.isfinite(S_max) and S_max > 0):
         raise ValidationError([f"S_max must be positive and finite, got {S_max}"])
     ds = S_max / M_s
@@ -179,7 +179,7 @@ def psor_american_put(
         V[0] = p.E
         V[-1] = 0.0
         converged = False
-        for _sweep in range(max_sweeps):
+        for _sweep in range(_MAX_SWEEPS):
             delta = 0.0
             for mid, left, right, rhs_c, lo_c, up_c, di_c, floor, gs, tmp in colours:
                 # gs = (rhs - a_lo * V[left] - a_up * V[right]) / a_di

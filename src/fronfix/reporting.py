@@ -1,4 +1,5 @@
-"""CSV and JSON emission for solver results.
+"""CSV and JSON emission for solver results; every output file is written
+here.
 
 Numbers are serialized with 17 significant digits, as `format(x, ".17g")`
 writes them, so parsing a CSV back reproduces the in-memory doubles bit for
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +46,8 @@ from .scheme import SolverRun, price_at
 
 __all__ = [
     "fmt",
-    "emit_csv",
+    "write_json",
+    "write_rows",
     "emit_boundary_csv",
     "emit_surface_csv",
     "emit_study_csv",
@@ -64,7 +67,13 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_rows(path: Path, header: str, rows) -> None:
+def write_json(path: Path, payload: dict) -> None:
+    """payload as indented JSON with sorted keys and a final newline."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_rows(path: Path, header: str, rows) -> None:
+    """A CSV of the header line and one line per row of formatted fields."""
     lines = [header]
     lines.extend(",".join(row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
@@ -77,7 +86,7 @@ def emit_boundary_csv(run: SolverRun, path: Path) -> None:
         (str(n), fmt(n * run.grid.dtau), fmt(xf), fmt(E * xf))
         for n, xf in enumerate(run.surface.xf)
     )
-    _write_rows(path, "n,tau,xf,Xstar", rows)
+    write_rows(path, "n,tau,xf,Xstar", rows)
 
 
 def _byte_masks(lo: int, hi: int) -> list[int]:
@@ -247,17 +256,8 @@ def emit_surface_csv(run: SolverRun, path: Path) -> None:
         tmp.unlink(missing_ok=True)  # left only by a failed write
 
 
-def emit_csv(run: SolverRun, out_dir: Path) -> tuple[Path, Path]:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    boundary = out_dir / "boundary.csv"
-    surface = out_dir / "surface.csv"
-    emit_boundary_csv(run, boundary)
-    emit_surface_csv(run, surface)
-    return boundary, surface
-
-
 def emit_study_csv(rows: tuple[StudyRow, ...], path: Path) -> None:
-    _write_rows(
+    write_rows(
         path,
         "Y,M,xf_final",
         ((fmt(r.Y), str(r.M), fmt(r.xf_final)) for r in rows),
@@ -277,21 +277,8 @@ def _lemma1_dict(rep: Lemma1Report) -> dict:
 
 def emit_summary(run: SolverRun, lemma1: Lemma1Report, path: Path) -> None:
     payload = {
-        "params": {
-            "r": run.params.r,
-            "sigma": run.params.sigma,
-            "E": run.params.E,
-            "T": run.params.T,
-            "alpha": run.params.alpha,
-        },
-        "grid": {
-            "Y": run.grid.Y,
-            "M": run.grid.M,
-            "mu": run.grid.mu,
-            "dy": run.grid.dy,
-            "dtau": run.grid.dtau,
-            "N": run.grid.N,
-        },
+        "params": asdict(run.params),
+        "grid": asdict(run.grid),
         "achieved_horizon": run.achieved_horizon,
         "lemma1": _lemma1_dict(lemma1),
         "max_inner_iterations": run.max_inner_iterations,
@@ -299,4 +286,4 @@ def emit_summary(run: SolverRun, lemma1: Lemma1Report, path: Path) -> None:
         "xf_final": float(run.surface.xf[-1]),
         "price_at_strike": price_at(run, run.params.E),
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, payload)

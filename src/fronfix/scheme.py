@@ -80,7 +80,7 @@ enters, and returns a new state without writing into the one it was given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -316,7 +316,7 @@ def time_step(state: StepState, p: ModelParams, g: GridSpec) -> StepState:
     for k in range(_MAX_ITER):
         omega1, omega2, scale = step.omega_parts(1.0 - x, step.node2(x))
         if abs(omega2) < _DENOM_FLOOR * scale:
-            raise DenominatorNearZeroError(state.n, omega2, scale)
+            raise DenominatorNearZeroError(state.n, omega2, _DENOM_FLOOR * scale)
         if abs(omega2) < _DENOM_WARN * scale:
             warned = True
         min_abs_den = min(min_abs_den, abs(omega2))
@@ -374,7 +374,7 @@ class SolverRun:
     grid: GridSpec
     iterations: tuple[int, ...]
     closure_residuals: tuple[float, ...]
-    denominator_warnings: tuple[int, ...] = field(default=())
+    denominator_warnings: tuple[int, ...]
 
     @property
     def achieved_horizon(self) -> float:
@@ -425,25 +425,23 @@ def price_at(run: SolverRun, S: float) -> float:
 
     Linear interpolation in y within the grid; below the exercise boundary
     the price is the intrinsic value E - S; beyond the truncation bound the
-    far-field value 0 is used. A march that ended at a boundary that is not
-    positive, or above the strike (xf > 1, which no American put has), has
-    no price: that raises DomainError, a numerical failure.
+    far-field value 0 is used. A march whose boundary left (0, 1] at any
+    level has no price: xf <= 0 is no boundary, and xf > 1 puts the exercise
+    boundary above the strike, which no American put has. That raises
+    DomainError, a numerical failure, naming the first such level.
     """
-    if S <= 0:
+    if not S > 0:  # nan included
         raise ValidationError(["S must be positive"])
+    xf = run.surface.xf
+    outside = np.flatnonzero(~((xf > 0) & (xf <= 1)))
+    if outside.size:
+        n = int(outside[0])
+        raise DomainError(
+            f"boundary xf = {xf[n]:.6g} at level {n} is outside (0, 1]; "
+            "price undefined"
+        )
     E = run.params.E
-    xf_final = run.surface.xf[-1]
-    boundary_price = E * xf_final
-    if not xf_final > 0:
-        raise DomainError(
-            f"final boundary xf = {xf_final:.6g} at level {run.grid.N} is "
-            "nonpositive; price undefined"
-        )
-    if xf_final > 1:
-        raise DomainError(
-            f"final boundary xf = {xf_final:.6g} at level {run.grid.N} is "
-            "above the strike; price undefined"
-        )
+    boundary_price = E * xf[-1]
     if S <= boundary_price:
         return E - S
     y = math.log(S / boundary_price)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import struct
@@ -17,21 +18,22 @@ import fronfix.cli
 import fronfix.reporting
 from fronfix.cli import run_cli
 from fronfix.model import ModelParams, SolutionSurface
-from fronfix.reporting import emit_csv, emit_surface_csv
+from fronfix.reporting import emit_boundary_csv, emit_surface_csv
 from fronfix.scheme import run_solver
 
 SRC = str(Path(fronfix.cli.__file__).resolve().parents[1])
 
 
-SOLVE_FLAGS = [
-    "solve", "--r", "0.1", "--sigma", "0.2", "--E", "1", "--T", "1",
-    "--alpha", "0.9", "--M", "100", "--mu", "20", "--Y", "4",
-]
+def solve_flags(alpha):
+    return [
+        "solve", "--r", "0.1", "--sigma", "0.2", "--E", "1", "--T", "1",
+        "--alpha", alpha, "--M", "100", "--mu", "20", "--Y", "4",
+    ]
 
 
 class TestSolveMode:
-    def test_flagship_example_writes_outputs(self, tmp_path):
-        code = run_cli(SOLVE_FLAGS + ["--out", str(tmp_path)])
+    def test_fractional_solve_writes_outputs(self, tmp_path):
+        code = run_cli(solve_flags("0.99") + ["--out", str(tmp_path)])
         assert code == 0
         assert sorted(f.name for f in tmp_path.iterdir()) == [
             "boundary.csv", "summary.json", "surface.csv",
@@ -42,6 +44,17 @@ class TestSolveMode:
         assert "lemma1" in summary
         assert "max_inner_iterations" in summary
         assert "denominator_warnings" in summary
+
+    def test_readme_fractional_example_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        # its boundary path goes 1, 0.632, 0.455, -0.480 (level 3), ...; the
+        # march ends at xf = 5.5e-11 > 0, which once exited 0 with price 0
+        out = tmp_path / "out"
+        assert run_cli(solve_flags("0.9") + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: boundary xf = -0.479585 at level 3 is outside (0, 1]; "
+            "price undefined\n"
+        )
+        assert not out.exists()
 
     def test_alpha_near_one_writes_lemma1(self, tmp_path):
         # the paper's q-scaled triple overflows at this order; lemma1 reads
@@ -243,6 +256,43 @@ class TestOtherModes:
         assert not out.exists()
 
 
+class TestOutputBytes:
+    """Every file each subcommand writes, pinned by SHA-256. The digests were
+    recorded on x86-64 Linux (glibc libm); every run takes exp, log or sin of
+    finite arguments somewhere (the price, the weights, the oracles), so
+    another libm may round one of them differently."""
+
+    @pytest.mark.parametrize("argv, digests", [
+        (["solve", "--M", "120"], {
+            "boundary.csv": "0f7aeca758eff3b0b143407af537637a4287bb3db19febc48ac162701c369850",
+            "summary.json": "69da8192b5fb7129bccea9d78b9735d0105fb80f6752807d25902ba73ad0624a",
+            "surface.csv": "f8176919d8897fe1c05243cc405210d5e49e2da61d79e2a0696b43911dba1ed2",
+        }),
+        (["solve", "--alpha", "0.99", "--M", "60", "--E", "100"], {
+            "boundary.csv": "3717d9684cbb7d6280e27f061d47666b59c9252e89286bbfdfe2e696eba7c1f7",
+            "summary.json": "a02fd345bc1b937856e5f8f7da18b48415a0bc940c9e2be788b525ca97f02bd3",
+            "surface.csv": "7b9c0e1a57677bf5addb7bacf82e99b2c33e9a206c5e907ff719cee15c51fea2",
+        }),
+        (["order-study", "--M", "50", "--mu", "5"], {
+            "order.json": "ec97da20e7cd68c9d1c251577c48cbe0c6d27b2b784b0fab664f43aadae74ea1",
+        }),
+        (["truncation-study", "--M", "60"], {
+            "truncation.csv": "90c8dc515d9832c8005a8b8cc26ca825684bc6eed18d35cd54ae1a536dc27fc0",
+        }),
+        (["stability-scan", "--M", "50"], {
+            "stability.csv": "84d1eeb07d7eb9c795078571738531596ab7f2183a76cb19b07bd7cfdfde2f2d",
+        }),
+        (["oracle-compare", "--M", "60", "--steps", "300", "--Ms", "51", "--Nt", "40"], {
+            "oracle_compare.json": "4a4a76ad431d8cc95234f0000ac11b789ebea1328752e54f102df4489db05509",
+        }),
+    ], ids=["solve", "solve-fractional-E100", "order-study", "truncation-study",
+            "stability-scan", "oracle-compare"])
+    def test_output_bytes_are_pinned(self, tmp_path, argv, digests):
+        assert run_cli(argv + ["--out", str(tmp_path)]) == 0
+        written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+        assert written == digests
+
+
 def reference_surface_csv(run) -> bytes:
     """surface.csv formatted one field at a time, as the writer once did."""
     E, dy = run.params.E, run.grid.dy
@@ -277,7 +327,8 @@ class TestEmission:
 
     def test_seventeen_digit_round_trip(self, base_params, tmp_path):
         run = self.run(base_params)
-        emit_csv(run, tmp_path)
+        emit_boundary_csv(run, tmp_path / "boundary.csv")
+        emit_surface_csv(run, tmp_path / "surface.csv")
         rows = list(csv.DictReader(open(tmp_path / "surface.csv")))
         for row in rows:
             n, m = int(row["n"]), int(row["m"])
@@ -330,7 +381,8 @@ class TestEmission:
         p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=0.1, alpha=1.0)
         run = run_solver(p, 4, 16.0, 1.0)
         assert run.grid.N == 1
-        emit_csv(run, tmp_path)
+        emit_boundary_csv(run, tmp_path / "boundary.csv")
+        emit_surface_csv(run, tmp_path / "surface.csv")
         surf = list(csv.DictReader(open(tmp_path / "surface.csv")))
         bnd = list(csv.DictReader(open(tmp_path / "boundary.csv")))
         assert len(bnd) == 2

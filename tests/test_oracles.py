@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -113,15 +114,17 @@ class TestPSOR:
     @pytest.mark.parametrize("grid, key", [
         ({"M_s": 0}, "Ms"), ({"M_s": 1}, "Ms"), ({"M_s": 2}, "Ms"),
         ({"N_t": 0}, "Nt"), ({"N_t": -3}, "Nt"),
-        ({"S_max": 0.0}, "S_max"), ({"S_max": -4.0}, "S_max"),
-        ({"S_max": math.inf}, "S_max"), ({"S_max": math.nan}, "S_max"),
+        ({"E": 0.0}, "S_max"), ({"E": -1.0}, "S_max"),
+        ({"E": math.inf}, "S_max"), ({"E": math.nan}, "S_max"),
     ])
     def test_rejects_grid_it_cannot_solve(self, base_params, grid, key):
         # these once died in a ZeroDivisionError or an empty-colour reduction,
-        # or (N_t < 0) returned a price without taking a step
+        # or (N_t < 0) returned a price without taking a step; the grid ends
+        # at S_max = 4E, so a strike that is not positive and finite has none
         kwargs = {"M_s": 40, "N_t": 30, **grid}
+        p = dataclasses.replace(base_params, E=kwargs.pop("E", base_params.E))
         with pytest.raises(ValidationError, match=key):
-            psor_american_put(base_params, 1.0, **kwargs)
+            psor_american_put(p, 1.0, **kwargs)
 
 
 def outcome(pricer, *args, **kwargs):

@@ -314,6 +314,14 @@ class TestFreeBoundaryUpdate:
         with pytest.raises(DenominatorNearZeroError) as err:
             time_step(state, p, g)
         assert err.value.step == 0
+        # the floor the error reports is the one the denominator was compared
+        # against: doubling _DENOM_FLOOR doubles it, exactly
+        monkeypatch.setattr(scheme, "_DENOM_FLOOR", 2 * scheme._DENOM_FLOOR)
+        with pytest.raises(DenominatorNearZeroError) as doubled:
+            time_step(state, p, g)
+        assert doubled.value.floor == 2 * err.value.floor > 0
+        for e in (err.value, doubled.value):
+            assert f"below floor {e.floor:.3e} at step 0" in str(e)
 
 
 class TestTimeStep:
@@ -674,5 +682,6 @@ class TestPricing:
 
     def test_rejects_nonpositive_spot(self, base_params):
         run = run_solver(base_params, 20, 10.0, 1.0)
-        with pytest.raises(ValidationError):
-            price_at(run, 0.0)
+        for S in (0.0, -1.0, math.nan):  # nan once raised a bare ValueError
+            with pytest.raises(ValidationError, match="S must be positive"):
+                price_at(run, S)
