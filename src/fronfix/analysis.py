@@ -4,6 +4,11 @@ Covers the coefficient-positivity step-size conditions, positivity and
 monotonicity audits of computed surfaces, the Fourier amplification factor of
 the frozen-coefficient scheme, an observed-order harness on nested grids, and
 a domain-truncation study.
+
+The studies read one price and one boundary per grid, so they march through
+scheme.final_level, which consumes the scheme.march generator holding one
+level and the boundary path: a study's memory is O(M + N) per grid, not the
+O(N*M) of a stored surface.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 from .cfkernel import cf_weights, memory_exponent
 from .errors import DomainError, ValidationError
 from .model import GridSpec, ModelParams, SolutionSurface, validate_params
-from .scheme import _Rows, price_at, run_solver
+from .scheme import _Rows, final_level, level_price
 
 __all__ = [
     "Lemma1Report",
@@ -239,14 +244,8 @@ def observed_order(
     temporal_args = [(base.M, base.mu / 2**i) for i in range(refinements + 1)]
 
     def one(args: tuple[int, float]) -> tuple[int, float, float, float]:
-        m_nodes, mu = args
-        run = run_solver(p, m_nodes, mu, base.Y)
-        return (
-            run.grid.N,
-            run.grid.dtau,
-            price_at(run, p.E),
-            float(run.surface.xf[-1]),
-        )
+        g, xf, v_last = final_level(p, *args, base.Y)
+        return (g.N, g.dtau, level_price(p, g, xf, v_last, p.E), float(xf[-1]))
 
     spatial = [one(args) for args in spatial_args]
     # both families start from the base grid: march it once
@@ -290,7 +289,7 @@ def y_truncation_study(
 
     def one(y_bound: float) -> StudyRow:
         m_nodes = max(4, round(y_bound / dy))
-        run = run_solver(p, m_nodes, mu, y_bound)
-        return StudyRow(Y=y_bound, M=m_nodes, xf_final=float(run.surface.xf[-1]))
+        _, xf, _ = final_level(p, m_nodes, mu, y_bound)
+        return StudyRow(Y=y_bound, M=m_nodes, xf_final=float(xf[-1]))
 
     return tuple(one(y_bound) for y_bound in Ys)

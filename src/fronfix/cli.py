@@ -40,7 +40,7 @@ from .reporting import (
     write_json,
     write_rows,
 )
-from .scheme import price_at, run_solver
+from .scheme import final_level, level_price, price_at, run_solver
 
 __all__ = ["run_cli", "main"]
 
@@ -176,16 +176,16 @@ def _cmd_oracle_compare(cfg: dict) -> int:
     s0 = _num(cfg, "S0") if cfg["S0"] is not None else p.E
     steps, M_s, N_t = _num(cfg, "steps", int), _num(cfg, "Ms", int), _num(cfg, "Nt", int)
     omega = _num(cfg, "omega")
-    check_oracle_inputs(s0, steps=steps, M_s=M_s, N_t=N_t, omega=omega)  # before any march
-    run = run_solver(p, _num(cfg, "M", int), _num(cfg, "mu"), _single_Y(cfg))
-    ff_price = price_at(run, s0)
+    check_oracle_inputs(p, s0, steps=steps, M_s=M_s, N_t=N_t, omega=omega)  # before any march
+    g, xf, v_last = final_level(p, _num(cfg, "M", int), _num(cfg, "mu"), _single_Y(cfg))
+    ff_price = level_price(p, g, xf, v_last, s0)
     tree = binomial_american_put(p, s0, steps)
     psor = psor_american_put(p, s0, M_s, N_t, omega)
     euro = european_put_closed_form(p, s0)
     payload = {
         "S0": s0,
         "front_fixing": ff_price,
-        "front_fixing_boundary": float(p.E * run.surface.xf[-1]),
+        "front_fixing_boundary": float(p.E * xf[-1]),
         "binomial": tree.price,
         "psor": psor.price,
         "psor_boundary": psor.boundary_estimate,

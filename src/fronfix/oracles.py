@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FronfixError, ValidationError
-from .model import ModelParams
+from .model import ModelParams, validate_params
 
 __all__ = [
     "OraclePrice",
@@ -43,6 +43,7 @@ class OraclePrice:
 
 
 def check_oracle_inputs(
+    p: ModelParams,
     S0: float,
     *,
     steps: int | None = None,
@@ -52,9 +53,19 @@ def check_oracle_inputs(
 ) -> None:
     """Raise a ValidationError listing every input the oracles cannot price.
 
-    Each oracle passes the inputs it uses (None: not used), and
-    `fronfix oracle-compare` passes them all before anything runs."""
+    The model must pass validate_params and be classical (alpha = 1): all
+    three oracles price Black-Scholes dynamics only. Each oracle passes the
+    inputs it uses (None: not used), and `fronfix oracle-compare` passes them
+    all before anything runs."""
     bad = []
+    try:
+        validate_params(p)
+    except ValidationError as exc:
+        bad.extend(exc.violations)
+    if 0.0 < p.alpha < 1.0:
+        bad.append(
+            f"the oracles price the classical model only (alpha = 1), got alpha = {p.alpha}"
+        )
     if omega is not None and not 0.0 < omega < 2.0:
         bad.append("omega must lie in (0,2)")
     if not (math.isfinite(S0) and S0 > 0):
@@ -62,6 +73,10 @@ def check_oracle_inputs(
     for name, value, least in (("steps", steps, 1), ("Ms", M_s, 3), ("Nt", N_t, 1)):
         if value is not None and value < least:
             bad.append(f"{name} must be >= {least}, got {value}")
+    if M_s is not None:  # PSOR's grid ends at S_max, which 4E may overflow
+        S_max = _S_MAX_PER_STRIKE * p.E
+        if not (math.isfinite(S_max) and S_max > 0):
+            bad.append(f"S_max must be positive and finite, got {S_max}")
     if bad:
         raise ValidationError(bad)
 
@@ -73,7 +88,7 @@ def _norm_cdf(x: float) -> float:
 
 def european_put_closed_form(p: ModelParams, S0: float) -> float:
     """Black-Scholes put value (the American price can never fall below it)."""
-    check_oracle_inputs(S0)
+    check_oracle_inputs(p, S0)
     vol = p.sigma * math.sqrt(p.T)
     if vol < 1e-12:
         return max(p.E * math.exp(-p.r * p.T) - S0, 0.0)
@@ -84,7 +99,7 @@ def european_put_closed_form(p: ModelParams, S0: float) -> float:
 
 def binomial_american_put(p: ModelParams, S0: float, steps: int) -> OraclePrice:
     """Cox-Ross-Rubinstein backward induction with exercise at every node."""
-    check_oracle_inputs(S0, steps=steps)
+    check_oracle_inputs(p, S0, steps=steps)
     dt = p.T / steps
     up = math.exp(p.sigma * math.sqrt(dt))
     down = 1.0 / up
@@ -132,12 +147,10 @@ def psor_american_put(
     V(S_max) = 0. boundary_estimate is the largest grid price still inside
     the exercise region at the final level.
     """
-    check_oracle_inputs(S0, M_s=M_s, N_t=N_t, omega=omega)
+    check_oracle_inputs(p, S0, M_s=M_s, N_t=N_t, omega=omega)
     if tol <= 0:
         raise ValidationError(["tol must be positive"])
     S_max = _S_MAX_PER_STRIKE * p.E
-    if not (math.isfinite(S_max) and S_max > 0):
-        raise ValidationError([f"S_max must be positive and finite, got {S_max}"])
     ds = S_max / M_s
     dt = p.T / N_t
     S = ds * np.arange(M_s + 1)

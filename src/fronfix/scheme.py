@@ -75,11 +75,19 @@ State. A StepState is plain data: the level, its boundary, the memory's
 weighted increment sums and the run's CFWeights. Nothing checks a state when
 it is built; time_step checks v[0] = 1 - xf and v[M] = 0 where the state
 enters, and returns a new state without writing into the one it was given.
+
+March. march(p, g) yields the states from initial_state through the N
+time_steps and keeps none of them. run_solver writes each level into the
+surface; final_level keeps only the level in hand and the (N+1)-float
+boundary path, which is all the studies read. Every price, from a surface or
+from a last level, goes through level_price, which also refuses a boundary
+path that left (0, 1] or fell below the perpetual put's boundary.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,8 +113,11 @@ __all__ = [
     "SolverRun",
     "initial_state",
     "time_step",
+    "march",
     "run_solver",
+    "final_level",
     "price_at",
+    "level_price",
 ]
 
 _DENOM_FLOOR = 1e-12
@@ -385,30 +396,39 @@ class SolverRun:
         return max(self.iterations) if self.iterations else 0
 
 
+def march(p: ModelParams, g: GridSpec) -> Iterator[StepState]:
+    """The states of one march: initial_state, then each of the N time_steps.
+
+    Nothing is stored: a caller that keeps only the state in hand holds one
+    level."""
+    state = initial_state(p, g)
+    yield state
+    for _ in range(g.N):
+        state = time_step(state, p, g)
+        yield state
+
+
 def run_solver(p: ModelParams, M: int, mu: float, Y: float | None = None) -> SolverRun:
     """March the scheme over the whole horizon and collect the surface.
 
     Step-level failures propagate as typed errors carrying the step index.
     """
     g = build_grid(p, M, mu, Y)  # validates p as well
-    state = initial_state(p, g)
     # each level is written into place, so the march never holds the surface
     # twice (a list of level copies stacked at the end peaks at double)
     v_levels = np.empty((g.N + 1, g.M + 1))
-    v_levels[0] = state.v_curr
-    xf_path = [state.xf_curr]
+    xf_path: list[float] = []
     iterations: list[int] = []
     residuals: list[float] = []
     warned_steps: list[int] = []
-    for n in range(1, g.N + 1):
-        state = time_step(state, p, g)
-        assert state.stats is not None
-        v_levels[n] = state.v_curr
+    for state in march(p, g):
+        v_levels[state.n] = state.v_curr
         xf_path.append(state.xf_curr)
-        iterations.append(state.stats.iterations)
-        residuals.append(state.stats.closure_residual)
-        if state.stats.denominator_warning:
-            warned_steps.append(state.n - 1)
+        if state.stats is not None:
+            iterations.append(state.stats.iterations)
+            residuals.append(state.stats.closure_residual)
+            if state.stats.denominator_warning:
+                warned_steps.append(state.n - 1)
     surface = SolutionSurface(v=v_levels, xf=np.array(xf_path))
     return SolverRun(
         surface=surface,
@@ -420,36 +440,56 @@ def run_solver(p: ModelParams, M: int, mu: float, Y: float | None = None) -> Sol
     )
 
 
+def final_level(
+    p: ModelParams, M: int, mu: float, Y: float | None = None
+) -> tuple[GridSpec, np.ndarray, np.ndarray]:
+    """March holding one level: the grid, the boundary path xf[0..N] and the
+    last level, for callers that read nothing else of the surface."""
+    g = build_grid(p, M, mu, Y)
+    xf = np.empty(g.N + 1)
+    for state in march(p, g):
+        xf[state.n] = state.xf_curr
+    return g, xf, state.v_curr
+
+
 def price_at(run: SolverRun, S: float) -> float:
-    """Option price at spot S from the final level.
+    """Option price at spot S from the run's final level (see level_price)."""
+    return level_price(run.params, run.grid, run.surface.xf, run.surface.v[-1], S)
+
+
+def level_price(
+    p: ModelParams, g: GridSpec, xf: np.ndarray, v_last: np.ndarray, S: float
+) -> float:
+    """Option price at spot S from the boundary path xf and the last level.
 
     Linear interpolation in y within the grid; below the exercise boundary
     the price is the intrinsic value E - S; beyond the truncation bound the
     far-field value 0 is used. A march whose boundary left (0, 1] at any
     level has no price: xf <= 0 is no boundary, and xf > 1 puts the exercise
-    boundary above the strike, which no American put has. That raises
+    boundary above the strike, which no American put has. Nor has a march
+    whose boundary fell below the perpetual put's, x_perp = 2r/(2r + sigma^2)
+    (Merton 1973): every finite-horizon boundary lies above it. Either raises
     DomainError, a numerical failure, naming the first such level.
     """
     if not S > 0:  # nan included
         raise ValidationError(["S must be positive"])
-    xf = run.surface.xf
-    outside = np.flatnonzero(~((xf > 0) & (xf <= 1)))
-    if outside.size:
-        n = int(outside[0])
-        raise DomainError(
-            f"boundary xf = {xf[n]:.6g} at level {n} is outside (0, 1]; "
-            "price undefined"
-        )
-    E = run.params.E
-    boundary_price = E * xf[-1]
+    x_perp = 2.0 * p.r / (2.0 * p.r + p.sigma * p.sigma)
+    for bad, where in (
+        (~((xf > 0) & (xf <= 1)), "is outside (0, 1]"),
+        (xf < x_perp, f"is below the perpetual boundary {x_perp:.6g}"),
+    ):
+        if bad.any():
+            n = int(np.flatnonzero(bad)[0])
+            raise DomainError(
+                f"boundary xf = {xf[n]:.6g} at level {n} {where}; price undefined"
+            )
+    boundary_price = p.E * xf[-1]
     if S <= boundary_price:
-        return E - S
+        return p.E - S
     y = math.log(S / boundary_price)
-    g = run.grid
     if y >= g.Y:
         return 0.0
     idx = int(y // g.dy)
     idx = min(idx, g.M - 1)
     frac = (y - idx * g.dy) / g.dy
-    v_last = run.surface.v[-1]
-    return E * ((1.0 - frac) * v_last[idx] + frac * v_last[idx + 1])
+    return p.E * ((1.0 - frac) * v_last[idx] + frac * v_last[idx + 1])

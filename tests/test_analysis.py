@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fronfix.analysis as analysis
+import fronfix.scheme as scheme
 from fronfix.analysis import (
     amplification_factor,
     lemma1_check,
@@ -17,7 +18,8 @@ from fronfix.analysis import (
 )
 from fronfix.errors import DomainError, ValidationError
 from fronfix.model import ModelParams, SolutionSurface, build_grid
-from fronfix.scheme import price_at, run_solver
+from fronfix.cli import run_cli
+from fronfix.scheme import march, price_at, run_solver
 
 
 def make_surface(v, xf):
@@ -211,19 +213,47 @@ class TestObservedOrder:
         # both families start from (base.M, base.mu); the row is shared
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args[1:3])
-            return run_solver(*args, **kwargs)
+        def counting(p, g):
+            calls.append((g.M, g.mu))
+            return march(p, g)
 
-        monkeypatch.setattr(analysis, "run_solver", counting)
+        monkeypatch.setattr(scheme, "march", counting)
         refinements = 3
         base = build_grid(base_params, M=16, mu=5.0, Y=4.0)
         est = observed_order(base_params, base, refinements=refinements)
         assert len(calls) == 2 * refinements + 1
         assert len(set(calls)) == len(calls)
+        monkeypatch.undo()
         run = run_solver(base_params, 16, 5.0, 4.0)
         row = (run.grid.N, run.grid.dtau, price_at(run, base_params.E), float(run.surface.xf[-1]))
         assert est.spatial_table[0] == est.temporal_table[0] == row
+
+
+    def test_holds_one_level_per_grid(self, base_params):
+        # the surface of the M=400 grid alone is 6.4 MB; one level is 3.2 kB
+        base = build_grid(base_params, M=100, mu=5.0, Y=4.0)
+        tracemalloc.start()
+        try:
+            observed_order(base_params, base, refinements=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
+def test_studies_never_build_a_surface(base_params, monkeypatch, tmp_path):
+    def refuse(self):
+        raise AssertionError("built a SolutionSurface")
+
+    monkeypatch.setattr(SolutionSurface, "__post_init__", refuse)
+    observed_order(base_params, build_grid(base_params, M=16, mu=5.0, Y=4.0))
+    y_truncation_study(base_params, 16, 5.0, [2.0, 4.0])
+    assert run_cli([
+        "oracle-compare", "--M", "16", "--mu", "5", "--steps", "50", "--Ms", "21",
+        "--Nt", "10", "--out", str(tmp_path),
+    ]) == 0
+    with pytest.raises(AssertionError, match="built a SolutionSurface"):
+        run_solver(base_params, 16, 5.0, 4.0)
 
 
 class TestTruncationStudy:

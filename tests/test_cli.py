@@ -16,6 +16,7 @@ import pytest
 
 import fronfix.cli
 import fronfix.reporting
+import fronfix.scheme
 from fronfix.cli import run_cli
 from fronfix.model import ModelParams, SolutionSurface
 from fronfix.reporting import emit_boundary_csv, emit_surface_csv
@@ -83,6 +84,18 @@ class TestSolveMode:
         ])
         assert code == 2
         assert "step" in capsys.readouterr().err
+
+    def test_boundary_below_the_perpetual_put_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        # every level stays in (0, 1] and the march ends at xf = 3.5e-10,
+        # which once exited 0 with price 0
+        out = tmp_path / "out"
+        argv = ["solve", "--alpha", "0.9", "--M", "100", "--mu", "10", "--out", str(out)]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: boundary xf = 0.386123 at level 1 is below the perpetual "
+            "boundary 0.833333; price undefined\n"
+        )
+        assert not out.exists()
 
     def test_nonpositive_final_boundary_exits_two_and_writes_nothing(
         self, tmp_path, capsys, monkeypatch
@@ -240,6 +253,9 @@ class TestOtherModes:
         ("--S0", "-1", "S0 must be positive and finite, got -1.0"),
         ("--S0", "nan", "S0 must be positive and finite, got nan"),  # once a ValueError traceback
         ("--S0", "inf", "S0 must be positive and finite, got inf"),
+        # once classical oracles written beside a fractional price
+        ("--alpha", "0.99",
+         "the oracles price the classical model only (alpha = 1), got alpha = 0.99"),
     ])
     def test_oracle_compare_refuses_before_any_work(
         self, tmp_path, capsys, monkeypatch, flag, value, message
@@ -248,7 +264,8 @@ class TestOtherModes:
         def no_work(*args, **kwargs):
             raise AssertionError("ran before the oracle inputs were checked")
 
-        for name in ("run_solver", "binomial_american_put", "psor_american_put"):
+        monkeypatch.setattr(fronfix.scheme, "march", no_work)
+        for name in ("binomial_american_put", "psor_american_put"):
             monkeypatch.setattr(fronfix.cli, name, no_work)
         out = tmp_path / "out"
         assert run_cli(["oracle-compare", flag, value, "--out", str(out)]) == 1

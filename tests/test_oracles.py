@@ -127,6 +127,24 @@ class TestPSOR:
             psor_american_put(p, 1.0, **kwargs)
 
 
+class TestModelChecks:
+    ORACLES = {
+        "binomial": lambda p: binomial_american_put(p, 1.0, 50),
+        "psor": lambda p: psor_american_put(p, 1.0, 20, 10),
+        "european": lambda p: european_put_closed_form(p, 1.0),
+    }
+
+    @pytest.mark.parametrize("oracle", ORACLES.values(), ids=ORACLES.keys())
+    @pytest.mark.parametrize("change, message", [
+        ({"E": -1.0}, "E must be positive"),  # once a tree price of 0.0, a bare ValueError
+        ({"sigma": 0.0}, "sigma must be positive"),
+        ({"alpha": 0.99}, r"classical model only \(alpha = 1\), got alpha = 0.99"),
+    ])
+    def test_refuses_a_model_it_cannot_price(self, base_params, oracle, change, message):
+        with pytest.raises(ValidationError, match=message):
+            oracle(dataclasses.replace(base_params, **change))
+
+
 def outcome(pricer, *args, **kwargs):
     try:
         res = pricer(*args, **kwargs)

@@ -610,6 +610,45 @@ class TestRunSolver:
             run_solver(ModelParams(r=0.1, sigma=-1.0, E=1.0, T=1.0), 10, 2.0, 1.0)
 
 
+class TestMarch:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=st.sampled_from([1.0, 0.99, 0.9]),
+        M=st.integers(4, 30),
+        mu=st.floats(0.5, 20.0),
+        Y=st.sampled_from([1.0, 2.0, 4.0]),
+        T=st.floats(0.05, 1.0),
+    )
+    def test_states_are_run_solvers_bit_for_bit(self, alpha, M, mu, Y, T):
+        p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=T, alpha=alpha)
+        g = build_grid(p, M, mu, Y)
+        try:
+            run = run_solver(p, M, mu, Y)
+        except FronfixError as exc:
+            with pytest.raises(type(exc)) as err:
+                list(scheme.march(p, g))
+            assert str(err.value) == str(exc)
+            return
+        states = list(scheme.march(p, g))
+        assert [state.n for state in states] == list(range(g.N + 1))
+        assert np.stack([state.v_curr for state in states]).tobytes() == run.surface.v.tobytes()
+        assert np.array([state.xf_curr for state in states]).tobytes() == run.surface.xf.tobytes()
+        stats = [state.stats for state in states[1:]]
+        assert states[0].stats is None
+        assert tuple(s.iterations for s in stats) == run.iterations
+        residuals = np.array([s.closure_residual for s in stats])
+        assert residuals.tobytes() == np.array(run.closure_residuals).tobytes()
+        warned = tuple(n for n, s in enumerate(stats) if s.denominator_warning)
+        assert warned == run.denominator_warnings
+
+    def test_final_level_is_the_surfaces_last_row(self, fractional_params):
+        run = run_solver(fractional_params, 30, 20.0, 4.0)
+        g, xf, v_last = scheme.final_level(fractional_params, 30, 20.0, 4.0)
+        assert g == run.grid
+        assert xf.tobytes() == run.surface.xf.tobytes()
+        assert v_last.tobytes() == run.surface.v[-1].tobytes()
+
+
 class TestAgainstTree:
     def test_price_curve_matches_binomial_at_baseline(self, base_params):
         from fronfix.oracles import binomial_american_put
@@ -679,6 +718,22 @@ class TestPricing:
         with pytest.raises(DomainError, match=f"xf = 1.683 at level {run.grid.N}") as err:
             price_at(bad, base_params.E)
         assert not isinstance(err.value, ValidationError)
+
+    def test_boundary_below_the_perpetual_put_is_a_domain_error(self):
+        # every level lies in (0, 1]; the march ends at xf = 3.5e-10
+        run = run_solver(ModelParams(r=0.1, sigma=0.2, E=1.0, T=1.0, alpha=0.9), 100, 10.0)
+        assert ((run.surface.xf > 0) & (run.surface.xf <= 1)).all()
+        with pytest.raises(DomainError, match="at level 1 is below the perpetual boundary"):
+            price_at(run, 1.0)
+
+    @pytest.mark.parametrize("sigma", [0.15, 0.2, 0.3])
+    def test_long_classical_horizon_stays_above_the_perpetual_put(self, sigma):
+        # at T = 20 the boundary ends within 2.6e-3 of x_perp = 2r/(2r + sigma^2),
+        # and still prices
+        p = ModelParams(r=0.1, sigma=sigma, E=1.0, T=20.0)
+        run = run_solver(p, 100, 5.0)
+        assert 0.0 < run.surface.xf.min() - 2 * p.r / (2 * p.r + sigma**2) < 2.6e-3
+        assert price_at(run, 1.0) > 0.0
 
     def test_rejects_nonpositive_spot(self, base_params):
         run = run_solver(base_params, 20, 10.0, 1.0)
