@@ -2,7 +2,6 @@
 exponential-kernel fractional time derivative, plus validation tooling."""
 
 from .analysis import (
-    AmplificationResult,
     AuditReport,
     Lemma1Report,
     OrderEstimate,

@@ -1,9 +1,11 @@
 """Numerical validation of the scheme's theoretical properties.
 
 Covers the coefficient-positivity step-size conditions, positivity and
-monotonicity audits of computed surfaces, the Fourier amplification factor of
-the frozen-coefficient scheme, an observed-order harness on nested grids, and
-a domain-truncation study.
+monotonicity audits of computed surfaces, the von Neumann amplification
+factor of the implemented three-level rows under a frozen boundary (the
+larger root of their characteristic polynomial, as in Richtmyer & Morton,
+Difference Methods for Initial-Value Problems, 1967), an observed-order
+harness on nested grids, and a domain-truncation study.
 
 The studies read one price and one boundary per grid, so they march through
 scheme.final_level, which consumes the scheme.march generator holding one
@@ -13,21 +15,21 @@ O(N*M) of a stored surface.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cfkernel import cf_weights, memory_exponent
-from .errors import DomainError, ValidationError
+from .cfkernel import cf_weights
+from .errors import ValidationError
 from .model import GridSpec, ModelParams, SolutionSurface, validate_params
-from .scheme import _Rows, final_level, level_price
+from .scheme import _check_boundary_path, _Rows, final_level, level_price
 
 __all__ = [
     "Lemma1Report",
     "AuditReport",
     "AuditViolation",
-    "AmplificationResult",
     "OrderEstimate",
     "StudyRow",
     "lemma1_check",
@@ -150,47 +152,30 @@ def monotonicity_audit(s: SolutionSurface, tolerance: float = 1e-9) -> AuditRepo
     )
 
 
-@dataclass(frozen=True)
-class AmplificationResult:
-    lam: float
-    memory_sum: float
+def amplification_factor(p: ModelParams, g: GridSpec, b: float) -> float:
+    """|G|, the larger root modulus of the stepper's rows for the mode
+    exp(i*b*y) under a frozen boundary (no drift).
 
-
-def amplification_factor(
-    p: ModelParams, g: GridSpec, b: float, a: float, n_terms: int
-) -> AmplificationResult:
-    """Per-step growth factor of a Fourier mode under frozen coefficients:
-    wavenumber b and temporal growth exponent a (both nonzero), n_terms
-    history terms, at the given model and grid.
-
-    lam = (K - 2 sigma^2/dy^2 sin^2(b dy/2) - r)
-        / (K + 2 sigma^2/dy^2 sin^2(b dy/2) + r),
-    K = 2 P sum_{k=1..n} exp(-k dtau (alpha/(1-alpha) + a)),
-    P = (exp(alpha dtau/(1-alpha)) - 1)/(dtau alpha), the memory's prefactor.
+    On the mode the rows read S + u - v = l*(u + v), with
+    l = B + (A + C) cos(b dy) + i (A - C) sin(b dy), and the push gives
+    S' = rho*(S + u - v), so G solves (1 - l) G^2 - (1 + l - rho*l) G + rho*l
+    = 0; at alpha = 1 (rho = 0) that is Crank-Nicolson's (1 + l)/(1 - l).
     """
     validate_params(p)
-    if n_terms < 1:
-        raise ValidationError(["n_terms must be >= 1"])
-    if b == 0.0 or a == 0.0:
-        raise ValidationError(["b and a must be nonzero"])
-    if p.classical:
-        raise ValidationError(["amplification factor requires alpha < 1"])
-    try:  # inf * an underflowed memory sum would be NaN
-        prefactor = math.expm1(memory_exponent(p.alpha, g.dtau)) / (g.dtau * p.alpha)
-        if math.isinf(prefactor):
-            raise OverflowError
-    except OverflowError:
-        raise DomainError(
-            f"prefactor overflows at alpha = {p.alpha!r}, dtau = {g.dtau!r}"
-        ) from None
-    ratio = p.alpha / (1.0 - p.alpha)
-    k = np.arange(1, n_terms + 1)
-    memory = float(np.sum(np.exp(-k * g.dtau * (ratio + a))))
-    big_k = 2.0 * prefactor * memory
-    sin_half = math.sin(b * g.dy / 2.0)
-    spatial = 2.0 * p.sigma**2 / (g.dy * g.dy) * sin_half * sin_half
-    lam = (big_k - spatial - p.r) / (big_k + spatial + p.r)
-    return AmplificationResult(lam=lam, memory_sum=memory)
+    if not math.isfinite(b):
+        raise ValidationError(["b must be finite"])
+    w = cf_weights(p.alpha, g.dtau)
+    rows = _Rows(p, g, w.row_weight, 1.0)
+    upper, lower, _ = rows.bands(1.0)
+    ell = complex(
+        rows.b_diag + (upper + lower) * math.cos(b * g.dy),
+        (upper - lower) * math.sin(b * g.dy),
+    )
+    c2, c1, c0 = 1.0 - ell, -(1.0 + ell - w.decay * ell), w.decay * ell
+    # roots (-c1 -+ disc)/(2 c2), from libm alone; the larger modulus has no
+    # cancellation, since |c1 + disc|^2 + |c1 - disc|^2 = 2(|c1|^2 + |disc|^2)
+    disc = cmath.sqrt(c1 * c1 - 4.0 * c2 * c0)
+    return max(abs(c1 + disc), abs(c1 - disc)) / (2.0 * abs(c2))
 
 
 @dataclass(frozen=True)
@@ -278,7 +263,8 @@ def y_truncation_study(
 
     The space step is held fixed across bounds (M is the node count at the
     largest Y; smaller domains use proportionally fewer nodes), so the rows
-    differ only through the domain truncation.
+    differ only through the domain truncation. A march whose boundary path
+    the prices refuse (scheme._check_boundary_path) raises DomainError.
     """
     if not Ys:
         raise ValidationError(["Ys must be nonempty"])
@@ -290,6 +276,7 @@ def y_truncation_study(
     def one(y_bound: float) -> StudyRow:
         m_nodes = max(4, round(y_bound / dy))
         _, xf, _ = final_level(p, m_nodes, mu, y_bound)
+        _check_boundary_path(p, xf)
         return StudyRow(Y=y_bound, M=m_nodes, xf_final=float(xf[-1]))
 
     return tuple(one(y_bound) for y_bound in Ys)

@@ -16,9 +16,9 @@ class ValidationError(FronfixError, ValueError):
 
 
 class DomainError(FronfixError, ValueError):
-    """An input or result outside the model's domain: a price from a march
-    whose boundary left (0, 1] (price_at), or an amplification factor whose
-    prefactor overflows (amplification_factor)."""
+    """A result outside the model's domain: a march whose boundary path left
+    (0, 1] or fell below the perpetual put's boundary, which level_price and
+    y_truncation_study refuse."""
 
 
 class SingularPivotError(FronfixError):

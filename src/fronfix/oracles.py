@@ -8,8 +8,8 @@ Black-Scholes dynamics.
 
 The tree reads each level's node prices from two power tables built once,
 S0 * up**k and down**k; PSOR sweeps each colour as a strided slice of the
-grid through preallocated buffers. Both give the bits of the per-level
-loops they replaced, which tests/oracle_reference.py keeps.
+grid. Both give the bits of the per-level loops they replaced, which
+tests/oracle_reference.py keeps.
 """
 
 from __future__ import annotations
@@ -142,10 +142,9 @@ def psor_american_put(
     each time level solves the linear complementarity problem by
     over-relaxed sweeps projected onto the payoff. The sweeps use a two-colour
     ordering so the update vectorizes: each colour is a strided slice (odd
-    nodes, then even) updated through two preallocated buffers, with the bits
-    of a sweep over index arrays. Boundary rows are pinned to V(0) = E and
-    V(S_max) = 0. boundary_estimate is the largest grid price still inside
-    the exercise region at the final level.
+    nodes, then even), with the bits of a sweep over index arrays. Boundary
+    rows are pinned to V(0) = E and V(S_max) = 0. boundary_estimate is the
+    largest grid price still inside the exercise region at the final level.
     """
     check_oracle_inputs(p, S0, M_s=M_s, N_t=N_t, omega=omega)
     if tol <= 0:
@@ -179,11 +178,9 @@ def psor_american_put(
     for first in (1, 2):  # odd nodes, then even; interior row = node - 1
         node = slice(first, M_s, 2)
         row = slice(first - 1, M_s - 1, 2)
-        mid = V[node]
         colours.append((
-            mid, V[first - 1 : M_s - 1 : 2], V[first + 1 : M_s + 1 : 2],
+            V[node], V[first - 1 : M_s - 1 : 2], V[first + 1 : M_s + 1 : 2],
             rhs[row], a_lo[row], a_up[row], a_di[row], payoff[node],
-            np.empty_like(mid), np.empty_like(mid),
         ))
     relax = 1.0 - omega
     for _ in range(N_t):
@@ -194,22 +191,11 @@ def psor_american_put(
         converged = False
         for _sweep in range(_MAX_SWEEPS):
             delta = 0.0
-            for mid, left, right, rhs_c, lo_c, up_c, di_c, floor, gs, tmp in colours:
-                # gs = (rhs - a_lo * V[left] - a_up * V[right]) / a_di
-                np.multiply(lo_c, left, out=gs)
-                np.subtract(rhs_c, gs, out=gs)
-                np.multiply(up_c, right, out=tmp)
-                np.subtract(gs, tmp, out=gs)
-                np.divide(gs, di_c, out=gs)
-                # new = maximum((1 - omega) * V[mid] + omega * gs, payoff)
-                np.multiply(omega, gs, out=gs)
-                np.multiply(relax, mid, out=tmp)
-                np.add(tmp, gs, out=gs)
-                np.maximum(gs, floor, out=gs)
-                np.subtract(gs, mid, out=tmp)
-                np.abs(tmp, out=tmp)
-                delta = max(delta, float(tmp.max()))
-                mid[...] = gs
+            for mid, left, right, rhs_c, lo_c, up_c, di_c, floor in colours:
+                gs = (rhs_c - lo_c * left - up_c * right) / di_c
+                new = np.maximum(relax * mid + omega * gs, floor)
+                delta = max(delta, float(np.abs(new - mid).max()))
+                mid[...] = new
             if delta < tol:
                 converged = True
                 break

@@ -80,8 +80,9 @@ March. march(p, g) yields the states from initial_state through the N
 time_steps and keeps none of them. run_solver writes each level into the
 surface; final_level keeps only the level in hand and the (N+1)-float
 boundary path, which is all the studies read. Every price, from a surface or
-from a last level, goes through level_price, which also refuses a boundary
-path that left (0, 1] or fell below the perpetual put's boundary.
+from a last level, goes through level_price, and every price or study result
+through _check_boundary_path, which refuses a boundary path that left (0, 1]
+or fell below the perpetual put's boundary.
 """
 
 from __future__ import annotations
@@ -464,25 +465,12 @@ def level_price(
 
     Linear interpolation in y within the grid; below the exercise boundary
     the price is the intrinsic value E - S; beyond the truncation bound the
-    far-field value 0 is used. A march whose boundary left (0, 1] at any
-    level has no price: xf <= 0 is no boundary, and xf > 1 puts the exercise
-    boundary above the strike, which no American put has. Nor has a march
-    whose boundary fell below the perpetual put's, x_perp = 2r/(2r + sigma^2)
-    (Merton 1973): every finite-horizon boundary lies above it. Either raises
-    DomainError, a numerical failure, naming the first such level.
+    far-field value 0 is used. A boundary path that _check_boundary_path
+    refuses has no price.
     """
     if not S > 0:  # nan included
         raise ValidationError(["S must be positive"])
-    x_perp = 2.0 * p.r / (2.0 * p.r + p.sigma * p.sigma)
-    for bad, where in (
-        (~((xf > 0) & (xf <= 1)), "is outside (0, 1]"),
-        (xf < x_perp, f"is below the perpetual boundary {x_perp:.6g}"),
-    ):
-        if bad.any():
-            n = int(np.flatnonzero(bad)[0])
-            raise DomainError(
-                f"boundary xf = {xf[n]:.6g} at level {n} {where}; price undefined"
-            )
+    _check_boundary_path(p, xf)
     boundary_price = p.E * xf[-1]
     if S <= boundary_price:
         return p.E - S
@@ -493,3 +481,20 @@ def level_price(
     idx = min(idx, g.M - 1)
     frac = (y - idx * g.dy) / g.dy
     return p.E * ((1.0 - frac) * v_last[idx] + frac * v_last[idx + 1])
+
+
+def _check_boundary_path(p: ModelParams, xf: np.ndarray) -> None:
+    """Raise DomainError, a numerical failure, naming the first level whose
+    boundary left (0, 1] (xf <= 0 is no boundary; xf > 1 puts it above the
+    strike) or fell below the perpetual put's x_perp = 2r/(2r + sigma^2)
+    (Merton 1973), which every finite-horizon boundary lies above."""
+    x_perp = 2.0 * p.r / (2.0 * p.r + p.sigma * p.sigma)
+    for bad, where in (
+        (~((xf > 0) & (xf <= 1)), "is outside (0, 1]"),
+        (xf < x_perp, f"is below the perpetual boundary {x_perp:.6g}"),
+    ):
+        if bad.any():
+            n = int(np.flatnonzero(bad)[0])
+            raise DomainError(
+                f"boundary xf = {xf[n]:.6g} at level {n} {where}; price undefined"
+            )

@@ -16,6 +16,7 @@ from fronfix.analysis import (
     observed_order,
     y_truncation_study,
 )
+from fronfix.cfkernel import cf_weights
 from fronfix.errors import DomainError, ValidationError
 from fronfix.model import ModelParams, SolutionSurface, build_grid
 from fronfix.cli import run_cli
@@ -103,94 +104,113 @@ class TestMonotonicityAudit:
         assert rep.max_xf_increase == pytest.approx(0.1)
 
 
+def periodic_map(p, g, n):
+    """The shipped rows' (v, S) -> (u, S') map on a periodic grid of n nodes,
+    built from the frozen-boundary bands by dense solves."""
+    w = cf_weights(p.alpha, g.dtau)
+    rows = scheme._Rows(p, g, w.row_weight, 1.0)
+    upper, lower, _ = rows.bands(1.0)
+    eye = np.eye(n)
+    # row m of ops x: upper*x[m+1] + B*x[m] + lower*x[m-1], indices taken mod n
+    ops = rows.b_diag * eye + upper * np.roll(eye, 1, axis=1) + lower * np.roll(eye, -1, axis=1)
+    # S + u - v = ops (u + v), so u = (I - ops)^-1 ((I + ops) v - S)
+    step_v = np.linalg.solve(eye - ops, eye + ops)
+    step_s = -np.linalg.solve(eye - ops, eye)
+    # S' = rho (S + u - v)
+    return np.block([
+        [step_v, step_s],
+        [w.decay * (step_v - eye), w.decay * (eye + step_s)],
+    ])
+
+
 class TestAmplification:
     def grid(self, p):
         return build_grid(p, M=100, mu=20.0, Y=4.0)
 
+    @pytest.mark.parametrize("r", [0.0, 0.1])
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9, 0.99, 1.0])
+    def test_symbol_is_the_spectral_radius_of_the_rows(self, r, alpha):
+        p = ModelParams(r, 0.2, 1.0, 1.0, alpha)
+        g = self.grid(p)
+        n = 40
+        step = periodic_map(p, g, n)
+        radius = float(np.abs(np.linalg.eigvals(step)).max())
+        modes = [2.0 * math.pi * k / (n * g.dy) for k in range(n)]
+        symbols = [amplification_factor(p, g, b) for b in modes]
+        assert max(symbols) == pytest.approx(radius, abs=1e-12)
+        # mode by mode: the map keeps span{(e, 0), (0, e)}, e = exp(i b y)
+        for b, symbol in zip(modes, symbols):
+            e = np.exp(1j * b * g.dy * np.arange(n))
+            basis = np.zeros((2 * n, 2), dtype=complex)
+            basis[:n, 0] = e
+            basis[n:, 1] = e
+            block = basis.conj().T @ step @ basis / n
+            assert symbol == pytest.approx(np.abs(np.linalg.eigvals(block)).max(), abs=1e-12)
+
+    def test_classical_symbol_is_crank_nicolson(self):
+        p = ModelParams(0.1, 0.2, 1.0, 1.0, 1.0)
+        g = self.grid(p)
+        rows = scheme._Rows(p, g, g.dtau, 1.0)
+        upper, lower, _ = rows.bands(1.0)
+        for b in (0.3, 1.7, 25.0, math.pi / g.dy):
+            ell = complex(
+                rows.b_diag + (upper + lower) * math.cos(b * g.dy),
+                (upper - lower) * math.sin(b * g.dy),
+            )
+            assert amplification_factor(p, g, b) == pytest.approx(
+                abs((1 + ell) / (1 - ell)), rel=1e-14
+            )
+
     def test_zero_spatial_frequency_with_zero_rate_gives_unity(self):
         p = ModelParams(r=0.0, sigma=0.2, E=1.0, T=1.0, alpha=0.6)
         g = self.grid(p)
-        b = 2.0 * math.pi / g.dy  # sin(b*dy/2) = sin(pi) = 0
-        res = amplification_factor(p, g, b, 1.0, 10)
-        assert res.lam == pytest.approx(1.0, abs=1e-12)
+        for b in (0.0, 2.0 * math.pi / g.dy):  # sin and 1 - cos of b*dy vanish
+            assert amplification_factor(p, g, b) == pytest.approx(1.0, abs=1e-12)
 
     def test_modulus_below_one_with_positive_rate(self):
         p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=1.0, alpha=0.6)
-        g = self.grid(p)
-        res = amplification_factor(p, g, 1.7, 0.5, 25)
-        assert abs(res.lam) < 1.0
+        assert amplification_factor(p, self.grid(p), 1.7) < 1.0
 
     def test_desk_scale_scan_is_stable(self, base_params):
         g = self.grid(base_params)
         worst = 0.0
-        for alpha in (0.3, 0.6, 0.9):
+        for alpha in (0.3, 0.6, 0.9, 1.0):
             p = ModelParams(0.1, 0.2, 1.0, 1.0, alpha)
-            for a in (0.1, 1.0, 10.0):
-                for n in (1, 10, 100):
-                    for k in range(1, 21):
-                        b = k * math.pi / (20.0 * g.dy)
-                        res = amplification_factor(p, g, b, a, n)
-                        worst = max(worst, abs(res.lam))
+            for k in range(1, 21):
+                worst = max(worst, amplification_factor(p, g, k * math.pi / (20.0 * g.dy)))
         assert worst < 1.0
+
+    @pytest.mark.parametrize("alpha", [0.999999, 0.9999549, 1.0])
+    def test_orders_at_one_give_a_finite_factor(self, alpha):
+        # the paper's prefactor overflows at 0.999999 and 0.9999549; the rows'
+        # weights stay finite all the way to alpha = 1
+        p = ModelParams(0.1, 0.2, 1.0, 1.0, alpha)
+        g = self.grid(p)
+        worst = max(amplification_factor(p, g, k * math.pi / (20.0 * g.dy)) for k in range(1, 21))
+        assert math.isfinite(worst) and worst < 1.0
+        assert worst == pytest.approx(0.98704, abs=1e-5)
 
     def test_rejects_bad_queries(self):
         p = ModelParams(0.1, 0.2, 1.0, 1.0, 0.6)
         g = self.grid(p)
-        with pytest.raises(ValidationError):
-            amplification_factor(p, g, 1.0, 1.0, 0)
-        with pytest.raises(ValidationError):
-            amplification_factor(p, g, 0.0, 1.0, 5)
-        with pytest.raises(ValidationError):
-            amplification_factor(p, g, 1.0, 0.0, 5)
-        with pytest.raises(ValidationError):
-            amplification_factor(ModelParams(0.1, 0.2, 1.0, 1.0), g, 1.0, 1.0, 5)
+        for b in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError, match="b must be finite"):
+                amplification_factor(p, g, b)
         for alpha in (0.0, 1.5, -0.3, math.nan):  # orders outside the model
             with pytest.raises(ValidationError, match="alpha"):
-                amplification_factor(ModelParams(0.1, 0.2, 1.0, 1.0, alpha), g, 1.0, 1.0, 5)
-
-    def test_overflowing_prefactor_is_a_domain_error(self):
-        # the prefactor overflows and the memory sum underflows: no NaN lambda.
-        # At 0.999999 expm1 itself overflows; at 0.9999549 (x = 709.5) expm1
-        # is finite and the division by dtau*alpha = 0.032 overflows
-        for alpha in (0.999999, 0.9999549):
-            p = ModelParams(0.1, 0.2, 1.0, 1.0, alpha)
-            g = self.grid(p)
-            x = alpha * g.dtau / (1.0 - alpha)
-            if alpha == 0.9999549:
-                assert math.isfinite(math.expm1(x)) and g.dtau * alpha < 0.1
-            with pytest.raises(DomainError, match="prefactor overflows"):
-                amplification_factor(p, g, 1.0, 1.0, 5)
+                amplification_factor(ModelParams(0.1, 0.2, 1.0, 1.0, alpha), g, 1.0)
 
     @given(
         b=st.floats(min_value=0.05, max_value=50.0),
-        a=st.floats(min_value=0.05, max_value=5.0),
-        alpha=st.floats(min_value=0.1, max_value=0.9),
-        n=st.integers(min_value=1, max_value=60),
+        alpha=st.floats(min_value=0.1, max_value=1.0),
     )
     @settings(max_examples=120, deadline=None)
-    def test_periodicity_in_wavenumber(self, b, a, alpha, n):
+    def test_periodicity_in_wavenumber(self, b, alpha):
         p = ModelParams(0.1, 0.2, 1.0, 1.0, alpha)
         g = build_grid(p, M=50, mu=10.0, Y=4.0)
-        q1 = amplification_factor(p, g, b, a, n)
-        q2 = amplification_factor(p, g, b + 2.0 * math.pi / g.dy, a, n)
-        assert q1.lam == pytest.approx(q2.lam, rel=1e-9, abs=1e-12)
-
-    @given(
-        a=st.floats(min_value=0.05, max_value=5.0),
-        alpha=st.floats(min_value=0.1, max_value=0.9),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_memory_sum_monotone_and_convergent(self, a, alpha):
-        p = ModelParams(0.1, 0.2, 1.0, 1.0, alpha)
-        g = build_grid(p, M=50, mu=10.0, Y=4.0)
-        sums = [
-            amplification_factor(p, g, 1.0, a, n).memory_sum
-            for n in (1, 2, 4, 8, 16, 200, 400)
-        ]
-        assert all(s2 >= s1 for s1, s2 in zip(sums, sums[1:]))
-        # geometric tail: the n=400 partial sum has essentially converged
-        ratio = math.exp(-g.dtau * (alpha / (1 - alpha) + a))
-        assert sums[-1] - sums[-2] <= sums[-2] * ratio ** 199 + 1e-12
+        lam1 = amplification_factor(p, g, b)
+        lam2 = amplification_factor(p, g, b + 2.0 * math.pi / g.dy)
+        assert lam1 == pytest.approx(lam2, rel=1e-9, abs=1e-12)
 
 
 class TestObservedOrder:
@@ -277,6 +297,13 @@ class TestTruncationStudy:
         shuffled = y_truncation_study(base_params, 60, 10.0, [2.0, 4.0, 1.0])
         assert [r.Y for r in shuffled] == [2.0, 4.0, 1.0]
         assert [r.xf_final for r in shuffled] == [ordered[i].xf_final for i in (1, 2, 0)]
+
+    def test_boundary_below_the_perpetual_put_is_a_domain_error(self):
+        # the march stays in (0, 1] but drops below x_perp at level 1 and ends
+        # at xf = 3.5e-10, which the study once reported as a boundary
+        p = ModelParams(0.1, 0.2, 1.0, 1.0, 0.9)
+        with pytest.raises(DomainError, match="at level 1 is below the perpetual boundary"):
+            y_truncation_study(p, 100, 10.0, [4.0])
 
     def test_rejects_bad_bounds(self, base_params):
         with pytest.raises(ValidationError):

@@ -210,13 +210,35 @@ class TestOtherModes:
     def test_stability_scan(self, tmp_path):
         code = run_cli([
             "stability-scan", "--M", "100", "--mu", "20", "--out", str(tmp_path),
-            "--alphas", "0.3,0.9", "--growth", "0.1,1", "--history-terms", "1,10",
-            "--wavenumbers", "5",
+            "--alphas", "0.3,0.9,1", "--wavenumbers", "5",
         ])
         assert code == 0
         rows = list(csv.DictReader(open(tmp_path / "stability.csv")))
-        assert len(rows) == 2 * 2 * 2 * 5
-        assert all(abs(float(r["lambda"])) < 1.0 for r in rows)
+        assert list(rows[0]) == ["alpha", "b", "lambda"]
+        assert len(rows) == 3 * 5
+        assert all(0.0 < float(r["lambda"]) < 1.0 for r in rows)
+
+    @pytest.mark.parametrize("flag", ["--growth", "--history-terms"])
+    def test_stability_scan_has_no_free_growth_flags(self, tmp_path, flag):
+        out = tmp_path / "out"
+        assert run_cli(["stability-scan", "--M", "40", flag, "1", "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_stability_scan_unstable_mode_exits_two(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fronfix.cli, "amplification_factor", lambda p, g, b: 1.0)
+        assert run_cli(["stability-scan", "--M", "40", "--out", str(tmp_path)]) == 2
+        assert (tmp_path / "stability.csv").exists()
+
+    def test_truncation_study_below_the_perpetual_put_exits_two(self, tmp_path, capsys):
+        # the alpha = 0.9 march ends at xf = 3.5e-10, which the study once wrote
+        out = tmp_path / "out"
+        argv = ["truncation-study", "--alpha", "0.9", "--M", "100", "--mu", "10", "--Y", "4"]
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: boundary xf = 0.386123 at level 1 is below the perpetual "
+            "boundary 0.833333; price undefined\n"
+        )
+        assert not out.exists()
 
     def test_oracle_compare(self, tmp_path):
         code = run_cli([
@@ -297,7 +319,7 @@ class TestOutputBytes:
             "truncation.csv": "90c8dc515d9832c8005a8b8cc26ca825684bc6eed18d35cd54ae1a536dc27fc0",
         }),
         (["stability-scan", "--M", "50"], {
-            "stability.csv": "84d1eeb07d7eb9c795078571738531596ab7f2183a76cb19b07bd7cfdfde2f2d",
+            "stability.csv": "bdb2727c6012e6134ad71fc468f152dd1c6097c7a2b0cedecae699b2d61ef2b0",
         }),
         (["oracle-compare", "--M", "60", "--steps", "300", "--Ms", "51", "--Nt", "40"], {
             "oracle_compare.json": "4a4a76ad431d8cc95234f0000ac11b789ebea1328752e54f102df4489db05509",
