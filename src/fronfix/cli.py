@@ -150,12 +150,17 @@ def _cmd_order(cfg: dict) -> int:
 
 def _cmd_stability(cfg: dict) -> int:
     p_base = _params(cfg)
-    g = build_grid(p_base, _num(cfg, "M", int), _num(cfg, "mu"), _single_Y(cfg))
     n_b = _num(cfg, "wavenumbers", int)
+    alphas = _num(cfg, "alphas", many=True)
+    bad = [f"wavenumbers must be >= 1, got {n_b}"] if n_b < 1 else []
+    bad += [] if alphas else ["alphas must list at least one order"]
+    if bad:  # a scan of nothing would report itself stable
+        raise ValidationError(bad)
+    g = build_grid(p_base, _num(cfg, "M", int), _num(cfg, "mu"), _single_Y(cfg))
     bs = [k * math.pi / g.dy / n_b for k in range(1, n_b + 1)]
     rows = []
     worst = 0.0
-    for alpha in _num(cfg, "alphas", many=True):
+    for alpha in alphas:
         p = ModelParams(p_base.r, p_base.sigma, p_base.E, p_base.T, alpha)
         for b in bs:
             lam = amplification_factor(p, g, b)
@@ -170,12 +175,11 @@ def _cmd_oracle_compare(cfg: dict) -> int:
     p = _params(cfg)
     s0 = _num(cfg, "S0") if cfg["S0"] is not None else p.E
     steps, M_s, N_t = _num(cfg, "steps", int), _num(cfg, "Ms", int), _num(cfg, "Nt", int)
-    omega = _num(cfg, "omega")
-    check_oracle_inputs(p, s0, steps=steps, M_s=M_s, N_t=N_t, omega=omega)  # before any march
+    check_oracle_inputs(p, s0, steps=steps, M_s=M_s, N_t=N_t)  # before any march
     g, xf, v_last = final_level(p, _num(cfg, "M", int), _num(cfg, "mu"), _single_Y(cfg))
     ff_price = level_price(p, g, xf, v_last, s0)
     tree = binomial_american_put(p, s0, steps)
-    psor = psor_american_put(p, s0, M_s, N_t, omega)
+    psor = psor_american_put(p, s0, M_s, N_t)
     euro = european_put_closed_form(p, s0)
     payload = {
         "S0": s0,
@@ -203,10 +207,9 @@ _COMMANDS = {
         ("alphas", str, "0.3,0.6,0.9", None),
         ("wavenumbers", int, 20, None),
     )),
-    "oracle-compare": ("compare against binomial/PSOR/European oracles", _cmd_oracle_compare, (
+    "oracle-compare": ("compare against binomial/obstacle/European oracles", _cmd_oracle_compare, (
         ("S0", float, None, None),
         ("steps", int, 5000, None),
-        ("omega", float, 1.4, None),
         ("Ms", int, 400, None),
         ("Nt", int, 400, None),
     )),
@@ -234,7 +237,7 @@ def run_cli(argv: list[str]) -> int:
     try:
         cfg = _merge_config(args)
         return args.handler(cfg)
-    except ValidationError as exc:
+    except (ValidationError, MemoryError) as exc:  # e.g. a grid of 1e14 levels
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
     except FronfixError as exc:

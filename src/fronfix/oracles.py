@@ -1,15 +1,14 @@
 """Independent American-put pricers used as ground truth at desk scale.
 
 Deliberately shares no discretization machinery with the front-fixing
-solver: a Cox-Ross-Rubinstein binomial tree, a projected-SOR Crank-Nicolson
-solve of the variational inequality on an asset-price grid, and the
-closed-form European put as a lower bound. All three assume classical
-Black-Scholes dynamics.
+solver: a Cox-Ross-Rubinstein binomial tree, a Crank-Nicolson solve of the
+obstacle problem on an asset-price grid (each level solved exactly by the
+Brennan-Schwartz sweep), and the closed-form European put as a lower bound.
+All three assume classical Black-Scholes dynamics.
 
 The tree reads each level's node prices from two power tables built once,
-S0 * up**k and down**k; PSOR sweeps each colour as a strided slice of the
-grid. Both give the bits of the per-level loops they replaced, which
-tests/oracle_reference.py keeps.
+S0 * up**k and down**k, with the bits of the per-level loop that
+tests/oracle_reference.py keeps beside a projected-SOR check of the sweep.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FronfixError, ValidationError
+from .errors import ValidationError
 from .model import ModelParams, validate_params
 
 __all__ = [
@@ -30,8 +29,7 @@ __all__ = [
     "european_put_closed_form",
 ]
 
-_S_MAX_PER_STRIKE = 4.0  # PSOR's grid ends at S_max = 4E
-_MAX_SWEEPS = 10000  # PSOR sweeps per time level before it gives up
+_S_MAX_PER_STRIKE = 4.0  # the obstacle grid ends at S_max = 4E
 
 
 @dataclass(frozen=True)
@@ -49,14 +47,13 @@ def check_oracle_inputs(
     steps: int | None = None,
     M_s: int | None = None,
     N_t: int | None = None,
-    omega: float | None = None,
 ) -> None:
     """Raise a ValidationError listing every input the oracles cannot price.
 
     The model must pass validate_params and be classical (alpha = 1): all
     three oracles price Black-Scholes dynamics only. Each oracle passes the
-    inputs it uses (None: not used), and `fronfix oracle-compare` passes them
-    all before anything runs."""
+    inputs it uses (None: not used), the tree its steps and the obstacle solve
+    its grid; `fronfix oracle-compare` passes them all before anything runs."""
     bad = []
     try:
         validate_params(p)
@@ -66,14 +63,12 @@ def check_oracle_inputs(
         bad.append(
             f"the oracles price the classical model only (alpha = 1), got alpha = {p.alpha}"
         )
-    if omega is not None and not 0.0 < omega < 2.0:
-        bad.append("omega must lie in (0,2)")
     if not (math.isfinite(S0) and S0 > 0):
         bad.append(f"S0 must be positive and finite, got {S0}")
     for name, value, least in (("steps", steps, 1), ("Ms", M_s, 3), ("Nt", N_t, 1)):
         if value is not None and value < least:
             bad.append(f"{name} must be >= {least}, got {value}")
-    if M_s is not None:  # PSOR's grid ends at S_max, which 4E may overflow
+    if M_s is not None:  # the obstacle grid ends at S_max, which 4E may overflow
         S_max = _S_MAX_PER_STRIKE * p.E
         if not (math.isfinite(S_max) and S_max > 0):
             bad.append(f"S_max must be positive and finite, got {S_max}")
@@ -129,78 +124,57 @@ def binomial_american_put(p: ModelParams, S0: float, steps: int) -> OraclePrice:
 
 
 def psor_american_put(
-    p: ModelParams,
-    S0: float,
-    M_s: int = 400,
-    N_t: int = 400,
-    omega: float = 1.4,
-    tol: float = 1e-9,
+    p: ModelParams, S0: float, M_s: int = 400, N_t: int = 400
 ) -> OraclePrice:
-    """Crank-Nicolson solve of the obstacle problem with projected SOR.
+    """Crank-Nicolson solve of the obstacle problem by the Brennan-Schwartz sweep.
 
-    Uniform grid of M_s >= 3 intervals on [0, S_max = 4E] and N_t >= 1 steps;
-    each time level solves the linear complementarity problem by
-    over-relaxed sweeps projected onto the payoff. The sweeps use a two-colour
-    ordering so the update vectorizes: each colour is a strided slice (odd
-    nodes, then even), with the bits of a sweep over index arrays. Boundary
-    rows are pinned to V(0) = E and V(S_max) = 0. boundary_estimate is the
-    largest grid price still inside the exercise region at the final level.
+    Uniform grid of M_s >= 3 intervals on [0, S_max = 4E] and N_t >= 1 steps,
+    with V(0) = E and V(S_max) = 0 pinned. A put has one exercise interval, so
+    each level's complementarity problem is solved exactly by one elimination
+    from S_max down and one back-substitution up from S = 0 that takes
+    max(., payoff) (Brennan & Schwartz 1977; Jaillet, Lamberton & Lapeyre
+    1990). boundary_estimate is the largest grid price still inside the
+    exercise region at the final level. The name, from the projected-SOR
+    solve this replaced, is kept for its callers.
     """
-    check_oracle_inputs(p, S0, M_s=M_s, N_t=N_t, omega=omega)
-    if tol <= 0:
-        raise ValidationError(["tol must be positive"])
+    check_oracle_inputs(p, S0, M_s=M_s, N_t=N_t)
     S_max = _S_MAX_PER_STRIKE * p.E
     ds = S_max / M_s
     dt = p.T / N_t
     S = ds * np.arange(M_s + 1)
     payoff = np.maximum(p.E - S, 0.0)
 
-    i = np.arange(1, M_s)
-    si = S[i]
-    diff = 0.5 * p.sigma**2 * si**2 / ds**2
-    conv = 0.5 * p.r * si / ds
+    diff = 0.5 * p.sigma**2 * S[1:-1] ** 2 / ds**2
+    conv = 0.5 * p.r * S[1:-1] / ds
     # L V = diff*(V[i+1]-2V[i]+V[i-1]) + conv*(V[i+1]-V[i-1]) - r*V[i]
     lo = diff - conv
     di = -2.0 * diff - p.r
     up = diff + conv
-
     # implicit side (I - dt/2 L), explicit side (I + dt/2 L)
-    a_lo = -0.5 * dt * lo
-    a_di = 1.0 - 0.5 * dt * di
-    a_up = -0.5 * dt * up
+    a_lo = (-0.5 * dt * lo).tolist()
+    pivot = (1.0 - 0.5 * dt * di).tolist()  # the diagonal, until eliminated
+    a_up = (-0.5 * dt * up).tolist()
     b_lo = 0.5 * dt * lo
     b_di = 1.0 + 0.5 * dt * di
     b_up = 0.5 * dt * up
 
+    # eliminate from S_max down once: row j less ratio times row j+1 is
+    # a_lo[j] V[j] + pivot[j] V[j+1]; the top row's upper neighbour is the
+    # pin V(S_max) = 0, so its ratio multiplies nothing
+    ratio_down = [0.0]
+    for j in range(M_s - 3, -1, -1):
+        ratio_down.append(a_up[j] / pivot[j + 1])
+        pivot[j] -= ratio_down[-1] * a_lo[j + 1]
+    floor = payoff[1:-1].tolist()
+
     V = payoff.copy()
-    rhs = np.empty(M_s - 1)  # the colours below hold views of it
-    colours = []
-    for first in (1, 2):  # odd nodes, then even; interior row = node - 1
-        node = slice(first, M_s, 2)
-        row = slice(first - 1, M_s - 1, 2)
-        colours.append((
-            V[node], V[first - 1 : M_s - 1 : 2], V[first + 1 : M_s + 1 : 2],
-            rhs[row], a_lo[row], a_up[row], a_di[row], payoff[node],
-        ))
-    relax = 1.0 - omega
     for _ in range(N_t):
-        rhs[:] = b_lo * V[:-2] + b_di * V[1:-1] + b_up * V[2:]
-        np.maximum(V, payoff, out=V)
-        V[0] = p.E
-        V[-1] = 0.0
-        converged = False
-        for _sweep in range(_MAX_SWEEPS):
-            delta = 0.0
-            for mid, left, right, rhs_c, lo_c, up_c, di_c, floor in colours:
-                gs = (rhs_c - lo_c * left - up_c * right) / di_c
-                new = np.maximum(relax * mid + omega * gs, floor)
-                delta = max(delta, float(np.abs(new - mid).max()))
-                mid[...] = new
-            if delta < tol:
-                converged = True
-                break
-        if not converged:
-            raise FronfixError("projected SOR failed to converge within max sweeps")
+        rhs = (b_lo * V[:-2] + b_di * V[1:-1] + b_up * V[2:]).tolist()
+        q = 0.0
+        q_down = [q := r_j - m * q for r_j, m in zip(reversed(rhs), ratio_down)]
+        v = p.E  # the pin V(0) = E
+        V[1:-1] = [v := max((q_j - lo_j * v) / piv, f)
+                   for q_j, lo_j, piv, f in zip(reversed(q_down), a_lo, pivot, floor)]
 
     exercised = np.nonzero(V <= payoff + 1e-7)[0]
     in_money = exercised[payoff[exercised] > 0]
@@ -213,5 +187,5 @@ def psor_american_put(
         frac = (S0 - k * ds) / ds
         price = float((1.0 - frac) * V[k] + frac * V[k + 1])
     return OraclePrice(
-        price=price, method="psor", resolution=M_s, boundary_estimate=boundary
+        price=price, method="brennan-schwartz", resolution=M_s, boundary_estimate=boundary
     )

@@ -1,10 +1,12 @@
-"""The lattice oracles as first written, kept as the reference for their
-array-speed forms in `fronfix.oracles`.
+"""The lattice oracles as first written, kept as the references for
+`fronfix.oracles`.
 
-The tree recomputes each level's node prices with two `**` arrays, and PSOR
-sweeps each colour through index arrays with fresh temporaries. The
-production code must return the same bits, so a comparison on one machine
-does not depend on the platform's libm.
+The tree recomputes each level's node prices with two `**` arrays; the
+production tree must return the same bits, so a comparison on one machine
+does not depend on the platform's libm. PSOR sweeps each colour through
+index arrays with fresh temporaries until a tolerance is met; run to a tight
+one, it is the independent check of the production Brennan-Schwartz sweep,
+which solves the same obstacle problem exactly on each level.
 """
 
 from __future__ import annotations

@@ -193,7 +193,7 @@ def test_criterion_7_y_truncation_study():
 def test_criterion_8_cross_oracle():
     p = ModelParams(**BASELINE, alpha=1.0)
     tree = binomial_american_put(p, p.E, 5000)
-    psor = psor_american_put(p, p.E, 400, 400, 1.5, 1e-9)
+    psor = psor_american_put(p, p.E, 400, 400)
     price_gap = abs(psor.price - tree.price)
 
     run = run_solver(p, 200, 20.0, 4.0)

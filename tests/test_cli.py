@@ -178,6 +178,15 @@ class TestSolveMode:
     def test_unreadable_config_exits_one(self, tmp_path):
         assert run_cli(["solve", "--config", str(tmp_path / "nope.json")]) == 1
 
+    def test_grid_too_large_to_allocate_exits_one(self, tmp_path, capsys):
+        # N = 6.25e14 levels of 101 nodes is 449 PiB, beyond any address space,
+        # so the allocation fails at once; it was once numpy's bare traceback
+        out = tmp_path / "out"
+        assert run_cli(["solve", "--M", "100", "--mu", "1e-12", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_determinism_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "one", tmp_path / "two"
         args = ["solve", "--alpha", "1.0", "--M", "40", "--mu", "10"]
@@ -217,6 +226,18 @@ class TestOtherModes:
         assert list(rows[0]) == ["alpha", "b", "lambda"]
         assert len(rows) == 3 * 5
         assert all(0.0 < float(r["lambda"]) < 1.0 for r in rows)
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--wavenumbers", "0", "wavenumbers must be >= 1, got 0"),
+        ("--wavenumbers", "-3", "wavenumbers must be >= 1, got -3"),
+        ("--alphas", ",", "alphas must list at least one order"),
+    ])
+    def test_stability_scan_of_nothing_exits_one(self, tmp_path, capsys, flag, value, message):
+        # once a header-only stability.csv and "0.000000 (stable)", exit 0
+        out = tmp_path / "out"
+        assert run_cli(["stability-scan", "--M", "50", flag, value, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--growth", "--history-terms"])
     def test_stability_scan_has_no_free_growth_flags(self, tmp_path, flag):
@@ -271,7 +292,6 @@ class TestOtherModes:
         ("--Nt", "0", "Nt must be >= 1, got 0"),
         ("--Ms", "2", "Ms must be >= 3, got 2"),
         ("--steps", "0", "steps must be >= 1, got 0"),
-        ("--omega", "2.5", "omega must lie in (0,2)"),
         ("--S0", "-1", "S0 must be positive and finite, got -1.0"),
         ("--S0", "nan", "S0 must be positive and finite, got nan"),  # once a ValueError traceback
         ("--S0", "inf", "S0 must be positive and finite, got inf"),
@@ -292,6 +312,13 @@ class TestOtherModes:
         out = tmp_path / "out"
         assert run_cli(["oracle-compare", flag, value, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert not out.exists()
+
+    def test_oracle_compare_has_no_relaxation_flag(self, tmp_path, capsys):
+        # each obstacle level is solved exactly: there is no relaxation factor to set
+        out = tmp_path / "out"
+        assert run_cli(["oracle-compare", "--omega", "2.5", "--out", str(out)]) == 1
+        assert "unrecognized arguments: --omega 2.5" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -322,7 +349,7 @@ class TestOutputBytes:
             "stability.csv": "bdb2727c6012e6134ad71fc468f152dd1c6097c7a2b0cedecae699b2d61ef2b0",
         }),
         (["oracle-compare", "--M", "60", "--steps", "300", "--Ms", "51", "--Nt", "40"], {
-            "oracle_compare.json": "4a4a76ad431d8cc95234f0000ac11b789ebea1328752e54f102df4489db05509",
+            "oracle_compare.json": "665dd2c29c5fda3fe4901406b8d1c4ed645c9e983eaa013984cba7c68a504d79",
         }),
     ], ids=["solve", "solve-fractional-E100", "order-study", "truncation-study",
             "stability-scan", "oracle-compare"])
