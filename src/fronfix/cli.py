@@ -5,7 +5,8 @@ oracle-compare. Exit code 0 on success, 1 on validation problems (bad flags,
 invalid parameters, unreadable config), 2 on numerical failure (with the
 failing step in the message).
 
-Flags can also come from a JSON config file (--config); explicit flags win.
+Flags can also come from a JSON config file (--config), whose keys must be
+flags of the subcommand; explicit flags win.
 """
 
 from __future__ import annotations
@@ -70,6 +71,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ValidationError([f"config file unreadable: {exc}"])
         if not isinstance(loaded, dict):
             raise ValidationError(["config file must hold a JSON object"])
+        unknown = ", ".join(sorted(loaded.keys() - merged.keys()))
+        if unknown:  # a mistyped key would leave its flag at its default
+            raise ValidationError([f"config keys that are not flags of {args.command}: {unknown}"])
         merged.update(loaded)
     for key, val in vars(args).items():
         if key not in ("command", "config", "handler", "flags") and val is not None:

@@ -13,6 +13,7 @@ from tau = 0 where v == 0 and X_f == 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +114,9 @@ def build_grid(p: ModelParams, M: int, mu: float, Y: float | None = None) -> Gri
         raise ValidationError(bad)
     dy = Y / M
     dtau = mu * dy * dy
+    # numpy indexes at most sys.maxsize bytes; a grid has N + 1 < T/dtau + 2 levels
+    if not dtau > 0 or (p.T / dtau + 2) * (M + 1) * 8 > sys.maxsize:
+        raise ValidationError([f"mu={mu!r} gives dtau={dtau!r}: too many levels to index"])
     N = _guarded_ceil(p.T / dtau)
     return GridSpec(Y=float(Y), M=int(M), mu=float(mu), dy=dy, dtau=dtau, N=N)
 

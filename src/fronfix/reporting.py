@@ -21,15 +21,18 @@ array kernel that gives the bytes of `format(x, ".17g")` for every double:
   between the computed and the exact product, so both round to the same D,
   and D has the 17 digits that `format` prints.
 - Fallback. `format` itself writes every other value: nan, +-inf, |x|
-  outside [1e-280, 1e280] (subnormals included), near-ties, values whose
+  below 1e-280 (subnormals included), |x| >= 10, near-ties, values whose
   log10 exponent is off by one (next to powers of ten), and a round-up to
   10**17. Zeros take their own exact path. On a `run_solver` surface at
   M=400 one value in 200,901 falls back.
-- Layout. %g's rules: fixed notation for -4 <= e < 17 and scientific
-  otherwise, with at least two exponent digits; trailing zeros stripped;
-  "-0" for negative zero. A field is 32 bytes with NUL padding, a row is
-  the level and node prefix and the v and V fields, and a block's bytes are
-  its rows with the NULs dropped, since no CSV byte is NUL.
+- Layout. Below 10 there are two, with trailing zeros stripped and "-0"
+  for negative zero. Scientific notation (e < -4, or e = 0 with no
+  exponent) is the first digit, a point when a later digit is nonzero, and
+  an exponent of at least two digits. Fixed notation below 1 (-4 <= e < 0)
+  is "0.", -e - 1 zeros and the digits. A field is 32 bytes with NUL
+  padding, a row is the level and node prefix and the v and V fields, and
+  a block's bytes are its rows with the NULs dropped, since no CSV byte is
+  NUL.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ __all__ = [
 
 _CHUNK_VALUES = 4096  # surface values formatted per block of levels
 _WORD = np.dtype("<u8")  # a field is four little-endian words
-_P_MIN, _P_MAX = -270, 300  # 10**p is tabulated; |x| in [1e-280, 1e280] needs -264..297
+_P_MIN, _P_MAX = 15, 297  # 10**p is tabulated; |x| in [1e-280, 10) needs 16..297
 _E_MIN, _E_MAX = 16 - _P_MAX, 16 - _P_MIN  # the decimal exponents e = 16 - p
 _VELTKAMP = 134217729.0  # 2**27 + 1 splits a double into two 26-bit halves
 _COMMA = np.uint64(ord(",")) << np.uint64(56)  # the last byte of a word
@@ -89,26 +92,13 @@ def emit_boundary_csv(run: SolverRun, path: Path) -> None:
     write_rows(path, "n,tau,xf,Xstar", rows)
 
 
-def _byte_masks(lo: int, hi: int) -> list[int]:
-    """Bytes [lo, hi) of a field's first 24 bytes as masks of its three words."""
-    mask = (1 << 8 * hi) - (1 << 8 * lo)
-    return [(mask >> 64 * k) & (2**64 - 1) for k in range(3)]
-
-
-def _power_of_ten(p: int) -> tuple[float, float]:
-    """10**p as H + L: H is 10**p rounded to a double, L the rounded rest."""
-    if p >= 0:
-        H = float(10**p)
-        return H, float(10**p - int(H))
-    d = 10**-p
-    num, den = (1 / d).as_integer_ratio()  # int / int rounds correctly
-    return num / den, (den - num * d) / (d * den)
-
-
 @functools.cache
 def _g17_tables():
     """The kernel's lookup tables, built when the first surface is written."""
-    H, L = np.array([_power_of_ten(p) for p in range(_P_MIN, _P_MAX + 1)]).T
+    # 10**p as H + L: H is 10**p rounded to a double, L the rounded rest
+    exact = [10**p for p in range(_P_MIN, _P_MAX + 1)]
+    H = np.array([float(n) for n in exact])
+    L = np.array([float(n - int(float(n))) for n in exact])
     c = _VELTKAMP * H
     H_hi = c - (c - H)
     powers = (H, H_hi, H - H_hi, L)
@@ -123,27 +113,15 @@ def _g17_tables():
         quads[10000:] |= np.where(g % 10 ** (4 - i) == 0, 0, char).astype(np.uint64)
 
     # per decimal exponent: the head (the sign, then "0." and the zeros of
-    # fixed notation below 1; minus signs in the second half), the exponent
-    # of scientific notation, and the layout: e for fixed notation
-    # 0 <= e <= 16, 0 for scientific notation, 17 for fixed notation below 1
+    # fixed notation below 1; minus signs in the second half), the point
+    # after the first digit (none below 1), and the exponent of scientific
+    # notation
     es = range(_E_MIN, _E_MAX + 1)
     below_one = ["0." + "0" * (-e - 1) if -4 <= e < 0 else "" for e in es]
     heads = _words(below_one + ["-" + h for h in below_one], 1)[:, 0]
-    tails = _words(["" if -4 <= e < 17 else f"e{e:+03d}" for e in es], 1)[:, 0]
-    layouts = np.array([e if 0 <= e < 17 else 17 if -4 <= e < 0 else 0 for e in es], np.intp)
-
-    # per layout l < 17: digits 1..l move down over byte 7 (move), the point
-    # goes after them (point) when a digit follows it (probe), and integer
-    # digits stripped as trailing zeros are '0' again (fill); layout 17 keeps
-    # every byte
-    masks = np.zeros((4, 3, 18), np.uint64)
-    for l in range(17):
-        for kind, (lo, hi) in enumerate([(7, 7 + l), (7 + l, 8 + l), (8 + l, 9 + l), (8, 8 + l)]):
-            masks[kind, :, l] = _byte_masks(lo, hi)
-    move, point, probe, fill = masks
-    masks = (move, ~(move | point), point & np.uint64(0x2E2E2E2E2E2E2E2E), probe,
-             fill & np.uint64(0x3030303030303030))
-    return powers, quads, heads, tails, layouts, masks
+    points = np.array([0 if h else ord(".") << 56 for h in below_one], np.uint64)
+    tails = _words(["" if e >= -4 else f"e{e:+03d}" for e in es], 1)[:, 0]
+    return powers, quads, heads, points, tails
 
 
 def _g17_fields(x: np.ndarray, out: np.ndarray) -> int:
@@ -153,17 +131,14 @@ def _g17_fields(x: np.ndarray, out: np.ndarray) -> int:
 
     A field's bytes: 0-5 the head, 6 the first digit, 7 the point of
     scientific notation, 8-23 the other 16 digits with trailing zeros as
-    NUL, 24-30 the exponent; byte 31 is left to the caller's separator.
-    Fixed notation with e >= 1 moves digits 1..e down over byte 7 and puts
-    the point after them."""
-    powers, quads, heads, tails, layouts, masks = _g17_tables()
+    NUL, 24-30 the exponent; byte 31 is left to the caller's separator."""
+    powers, quads, heads, points, tails = _g17_tables()
     H, H_hi, H_lo, L = powers
-    move, keep, point, probe, fill = masks
     ax = np.abs(x)
-    fast = (ax >= 1e-280) & (ax <= 1e280)
+    fast = (ax >= 1e-280) & (ax < 10)
     a = np.where(fast, ax, 1.0)
     e = np.floor(np.log10(a)).astype(np.intp)
-    ip = (16 - _P_MIN) - e  # the row of p = 16 - e
+    ip = (16 - _P_MIN) - e  # the row of p = 16 - e; p = 15 if log10 rounds up to 1 below 10
     c = _VELTKAMP * a
     a_hi = c - (c - a)
     a_lo = a - a_hi
@@ -192,17 +167,9 @@ def _g17_fields(x: np.ndarray, out: np.ndarray) -> int:
     z2 = z3 & (g2 == 0)
     z1 = z2 & (g1 == 0)
     w0 = heads[ie + len(tails) * np.signbit(x)] | (lead.astype(np.uint64) + 48) << np.uint64(48)
-    w1 = quads[g0 + 10000 * z1] | quads[g1 + 10000 * z2] << np.uint64(32)
-    w2 = quads[g2 + 10000 * z3] | quads[g3 + 10000] << np.uint64(32)
-
-    l = layouts[ie]
-    w1 |= fill[1][l]
-    w2 |= fill[2][l]
-    has_point = ((w1 & probe[1][l]) | (w2 & probe[2][l])) != 0
-    eight, top = np.uint64(8), np.uint64(56)
-    down = ((w0 >> eight) | (w1 << top), (w1 >> eight) | (w2 << top), w2 >> eight)
-    for k, w in enumerate((w0, w1, w2)):
-        out[:, k] = (down[k] & move[k][l]) | (w & keep[k][l]) | (point[k][l] * has_point)
+    out[:, 0] = w0 | points[ie] * (D != 0)  # a point only when a digit follows it
+    out[:, 1] = quads[g0 + 10000 * z1] | quads[g1 + 10000 * z2] << np.uint64(32)
+    out[:, 2] = quads[g2 + 10000 * z3] | quads[g3 + 10000] << np.uint64(32)
     out[:, 3] = tails[ie]
 
     slow = np.flatnonzero(~fast & (ax != 0))

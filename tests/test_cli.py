@@ -187,6 +187,31 @@ class TestSolveMode:
         assert err.startswith("validation error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_grid_too_large_to_index_exits_one(self, tmp_path):
+        # mu*dy^2 underflows to 0; it was once a ZeroDivisionError traceback
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "fronfix.cli", "solve", "--M", "100", "--mu", "5e-324"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("validation error: mu=5e-324 gives dtau=0.0")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config, keys", [
+        ({"sigam": 0.3, "M": 50}, "sigam"),
+        ({"alphas": 0.9, "wavenumbers": 5, "M": 50}, "alphas, wavenumbers"),
+    ], ids=["typo", "other-subcommand"])
+    def test_unknown_config_key_exits_one_naming_it(self, tmp_path, capsys, config, keys):
+        # once ignored: the run exited 0 with the flag at its default
+        out = tmp_path / "out"
+        (tmp_path / "cfg.json").write_text(json.dumps(dict(config, out=str(out))))
+        assert run_cli(["solve", "--config", str(tmp_path / "cfg.json")]) == 1
+        assert capsys.readouterr().err == (
+            f"validation error: config keys that are not flags of solve: {keys}\n")
+        assert not out.exists()
+
     def test_determinism_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "one", tmp_path / "two"
         args = ["solve", "--alpha", "1.0", "--M", "40", "--mu", "10"]

@@ -73,6 +73,13 @@ class TestBuildGrid:
         with pytest.raises(ValidationError):
             build_grid(base_params, **kwargs)
 
+    # numpy refuses past sys.maxsize bytes (1e-300, 6.25e-15), T/dtau overflows
+    # to inf (1e-320) and mu*dy^2 underflows to 0 (5e-324)
+    @pytest.mark.parametrize("mu", [1e-300, 6.25e-15, 1e-320, 5e-324])
+    def test_refuses_a_grid_too_large_to_index(self, base_params, mu):
+        with pytest.raises(ValidationError, match=f"^mu={mu!r} gives dtau="):
+            build_grid(base_params, M=100, mu=mu)
+
     @given(
         m=st.integers(min_value=4, max_value=600),
         mu=st.floats(min_value=0.01, max_value=60.0, allow_nan=False),

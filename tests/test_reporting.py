@@ -64,6 +64,16 @@ def exact_ties() -> list[float]:
             scaled = Fraction(x) * Fraction(10) ** (16 - e)
             if scaled.denominator == 2:
                 ties.append(x)
+    # below 10 the array path runs: x = k * 2**-17 in [1, 2) with k odd has
+    # x * 10**16 = k * 5**16 / 2
+    ties += [k * 2.0**-17 for k in range(2**17 + 1, 2**18, 64)]
+    # k * 2**-s with k odd is k * 5**(s-1) / 2 times 10**(1-s), a tie when
+    # that half-integer has 17 digits
+    for s in range(10, 60):
+        for k in range(1, 200, 2):
+            scaled = Fraction(k * 2.0**-s) * Fraction(10) ** (s - 1)
+            if 10**16 <= scaled < 10**17:
+                ties.append(k * 2.0**-s)
     return ties
 
 
@@ -74,8 +84,8 @@ ADVERSARIAL = {
     "large-integers": with_neighbours([2.0**54 + k for k in range(0, 64, 4)]
                                       + [2.0**53 + k for k in range(-3, 4)]),
     "exact-ties": with_neighbours(exact_ties()),
-    # the ends of the fast range, the subnormals and the largest doubles
-    "range-ends": with_neighbours([1e-280, 1e280, 5e-324, 2.2250738585072014e-308,
+    # the ends of the fast range [1e-280, 10), the subnormals and the largest doubles
+    "range-ends": with_neighbours([1e-280, 10.0, 1e280, 5e-324, 2.2250738585072014e-308,
                                    1.7976931348623157e308, 1e-300, 1e300], 2),
     "zeros-and-specials": [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 1.0, -1.0,
                            0.5, 0.1, 100.0, 1e15 + 0.25, 123456789012345.67],
@@ -101,9 +111,20 @@ class TestG17Kernel:
     def test_exact_ties_exist_and_round_half_even(self):
         ties = exact_ties()
         assert len(ties) >= 50
+        assert sum(t < 10 for t in ties) >= 2000
+        assert 1.0251998901367188e-05 in ties
         assert format(1e15 + 0.25, ".17g") == "1000000000000000.2"
         _, slow = kernel_lines(ties)
         assert slow == len(ties)  # a tie is never certified
+
+    def test_values_of_ten_and_more_take_format(self):
+        rng = np.random.default_rng(10)
+        big = [10.0, math.nextafter(10.0, math.inf), 1e300]
+        big += (10.0 ** rng.uniform(1, 300, 4000)).tolist()
+        values = big + [-x for x in big]
+        got, slow = kernel_lines(values)
+        assert slow == len(values)
+        assert got == [format(x, ".17g").encode() for x in values]
 
     @pytest.mark.parametrize("E", [1.0, 100.0])
     def test_real_surface_rarely_takes_the_scalar_path(self, E):
