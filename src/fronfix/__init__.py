@@ -10,6 +10,7 @@ from .analysis import (
     lemma1_check,
     monotonicity_audit,
     observed_order,
+    root_condition,
     y_truncation_study,
 )
 from .cfkernel import (

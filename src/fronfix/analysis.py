@@ -4,7 +4,8 @@ Covers the coefficient-positivity step-size conditions, positivity and
 monotonicity audits of computed surfaces, the von Neumann amplification
 factor of the implemented three-level rows under a frozen boundary (the
 larger root of their characteristic polynomial, as in Richtmyer & Morton,
-Difference Methods for Initial-Value Problems, 1967), an observed-order
+Difference Methods for Initial-Value Problems, 1967) and an exact test of
+that polynomial's root condition, an observed-order
 harness on nested grids, and a domain-truncation study.
 
 The studies read one price and one boundary per grid, so they march through
@@ -18,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -35,6 +37,7 @@ __all__ = [
     "lemma1_check",
     "monotonicity_audit",
     "amplification_factor",
+    "root_condition",
     "observed_order",
     "y_truncation_study",
 ]
@@ -73,20 +76,18 @@ def lemma1_check(
     drift = p.r - sig2 / 2.0
     cond_conv = None if drift == 0.0 else g.dy <= sig2 * g.dtau / abs(drift)
     cond_dt = g.dtau <= g.dy * g.dy / (p.r * g.dy * g.dy + sig2)
-    if xf_path is None:
-        pairs = [(1.0, 1.0)]
-    else:
-        xf_path = np.asarray(xf_path, dtype=float)
-        pairs = list(zip(xf_path[1:], xf_path[:-1]))
-    signs = np.empty((len(pairs), 3), dtype=int)
+    xf = np.array([1.0, 1.0]) if xf_path is None else np.asarray(xf_path, dtype=float)
+    if np.any(xf == 0.0):  # a zero boundary has no drift
+        raise ValidationError(["xf_path must hold no zero boundary"])
     # the stepper's rows are the paper's triple divided by rho > 0: the same
-    # signs, and finite where the q-scaled triple overflows (alpha near 1)
-    q_eff = cf_weights(p.alpha, g.dtau).row_weight
-    for i, (xf_next, xf_curr) in enumerate(pairs):
-        rows = _Rows(p, g, q_eff, xf_curr)
-        upper, lower, _ = rows.bands(xf_next)
-        signs[i] = (np.sign(upper), np.sign(rows.b_diag), np.sign(lower))
-    return Lemma1Report(cond_conv, cond_dt, signs)
+    # signs, and finite where the q-scaled triple overflows (alpha near 1);
+    # step n's rows take xf[n] as the current boundary and xf[n + 1] as the next
+    rows = _Rows(p, g, cf_weights(p.alpha, g.dtau).row_weight, xf[:-1])
+    upper, lower, _ = rows.bands(xf[1:])
+    triple = np.column_stack((upper, np.full_like(upper, rows.b_diag), lower))
+    if np.isnan(triple).any():  # a nan boundary, or a drift of 0/0 or inf/inf
+        raise ValidationError(["xf_path gives a row that is not a number"])
+    return Lemma1Report(cond_conv, cond_dt, np.sign(triple).astype(int))
 
 
 @dataclass(frozen=True)
@@ -116,40 +117,39 @@ class AuditReport:
 
 def monotonicity_audit(s: SolutionSurface, tolerance: float = 1e-9) -> AuditReport:
     """Check xf > 0 non-increasing and v >= 0 non-increasing in the node index."""
+    xf = s.xf[:, None]  # one column, so every check indexes (level, node)
+    xf_inc, v_neg, v_inc = np.diff(xf, axis=0), -s.v, np.diff(s.v, axis=1)
     found: list[AuditViolation] = []
+    worst: list[float] = []
+    # kind, excess, flagged entries, and the level and node offsets of entry (0, 0)
+    for kind, excess, flagged, dn, dm in (
+        ("xf_positivity", np.maximum(0.0, -xf), xf <= 0, 0, 0),
+        ("xf_increase", xf_inc, xf_inc > tolerance, 1, 0),
+        ("v_negative", v_neg, v_neg > tolerance, 0, 0),
+        ("v_increase_in_m", v_inc, v_inc > tolerance, 0, 1),
+    ):
+        found += [
+            AuditViolation(kind, int(n + dn), int(m + dm), float(excess[n, m]))
+            for n, m in np.argwhere(flagged)
+        ]
+        worst.append(float(max(excess.max(initial=0.0), 0.0)))
+    return AuditReport(*worst, violations=tuple(found), tolerance=tolerance)
 
-    xf_pos = np.maximum(0.0, -s.xf)  # distance below zero (positivity wants xf > 0)
-    for n in np.nonzero(s.xf <= 0)[0]:
-        found.append(AuditViolation("xf_positivity", int(n), 0, float(max(xf_pos[n], 0.0))))
-    max_xf_pos = float(xf_pos.max()) if xf_pos.size else 0.0
 
-    xf_inc = np.diff(s.xf)
-    for n in np.nonzero(xf_inc > tolerance)[0]:
-        found.append(AuditViolation("xf_increase", int(n + 1), 0, float(xf_inc[n])))
-    max_xf_inc = float(max(xf_inc.max(initial=0.0), 0.0))
-
-    v_neg = -s.v
-    bad = np.argwhere(v_neg > tolerance)
-    for n, m in bad:
-        found.append(AuditViolation("v_negative", int(n), int(m), float(v_neg[n, m])))
-    max_v_neg = float(max(v_neg.max(initial=0.0), 0.0))
-
-    v_inc = np.diff(s.v, axis=1)
-    bad = np.argwhere(v_inc > tolerance)
-    for n, m in bad:
-        found.append(
-            AuditViolation("v_increase_in_m", int(n), int(m + 1), float(v_inc[n, m]))
-        )
-    max_v_inc = float(max(v_inc.max(initial=0.0), 0.0))
-
-    return AuditReport(
-        max_xf_positivity=max_xf_pos,
-        max_xf_increase=max_xf_inc,
-        max_v_negative=max_v_neg,
-        max_v_increase_in_m=max_v_inc,
-        violations=tuple(found),
-        tolerance=tolerance,
+def _mode_symbol(p: ModelParams, g: GridSpec, b: float) -> tuple[complex, float]:
+    """l and rho of the mode exp(i*b*y) under a frozen boundary (see
+    amplification_factor)."""
+    validate_params(p)
+    if not math.isfinite(b):
+        raise ValidationError(["b must be finite"])
+    w = cf_weights(p.alpha, g.dtau)
+    rows = _Rows(p, g, w.row_weight, 1.0)
+    upper, lower, _ = rows.bands(1.0)
+    ell = complex(
+        rows.b_diag + (upper + lower) * math.cos(b * g.dy),
+        (upper - lower) * math.sin(b * g.dy),
     )
+    return ell, w.decay
 
 
 def amplification_factor(p: ModelParams, g: GridSpec, b: float) -> float:
@@ -161,21 +161,40 @@ def amplification_factor(p: ModelParams, g: GridSpec, b: float) -> float:
     S' = rho*(S + u - v), so G solves (1 - l) G^2 - (1 + l - rho*l) G + rho*l
     = 0; at alpha = 1 (rho = 0) that is Crank-Nicolson's (1 + l)/(1 - l).
     """
-    validate_params(p)
-    if not math.isfinite(b):
-        raise ValidationError(["b must be finite"])
-    w = cf_weights(p.alpha, g.dtau)
-    rows = _Rows(p, g, w.row_weight, 1.0)
-    upper, lower, _ = rows.bands(1.0)
-    ell = complex(
-        rows.b_diag + (upper + lower) * math.cos(b * g.dy),
-        (upper - lower) * math.sin(b * g.dy),
-    )
-    c2, c1, c0 = 1.0 - ell, -(1.0 + ell - w.decay * ell), w.decay * ell
+    ell, rho = _mode_symbol(p, g, b)
+    c2, c1, c0 = 1.0 - ell, -(1.0 + ell - rho * ell), rho * ell
     # roots (-c1 -+ disc)/(2 c2), from libm alone; the larger modulus has no
     # cancellation, since |c1 + disc|^2 + |c1 - disc|^2 = 2(|c1|^2 + |disc|^2)
     disc = cmath.sqrt(c1 * c1 - 4.0 * c2 * c0)
     return max(abs(c1 + disc), abs(c1 - disc)) / (2.0 * abs(c2))
+
+
+def root_condition(p: ModelParams, g: GridSpec, b: float) -> bool:
+    """Whether the mode exp(i*b*y) is stable: every root of the polynomial of
+    amplification_factor has |G| <= 1, and a root with |G| = 1 is simple, so
+    the mode's powers stay bounded.
+
+    Decided without rounding: the float l and rho are taken as the rationals
+    they are, and the polynomial is tested as a simple von Neumann polynomial
+    by one Schur-Cohn reduction (Strikwerda, Finite Difference Schemes and
+    Partial Differential Equations, 2nd ed., 2004, section 4.3). A |G| that
+    rounds to 1 gets the verdict of the polynomial itself: at rho = 1
+    (alpha*dtau below about 1e-16) G = 1 is an exact, simple root.
+    """
+    ell, rho = _mode_symbol(p, g, b)
+    lr, li, r = Fraction(ell.real), Fraction(ell.imag), Fraction(rho)
+    # real and imaginary parts of c2 = 1 - l, c1 = (rho - 1) l - 1, c0 = rho l
+    c2r, c2i, c1r, c1i, c0r, c0i = 1 - lr, -li, (r - 1) * lr - 1, (r - 1) * li, r * lr, r * li
+    n2, n1, n0 = c2r**2 + c2i**2, c1r**2 + c1i**2, c0r**2 + c0i**2
+    # the reduction conj(c2) p(z) - c0 p*(z) is z ((n2 - n0) z + beta) with
+    # beta = conj(c2) c1 - c0 conj(c1)
+    br = c2r * c1r + c2i * c1i - (c0r * c1r + c0i * c1i)
+    bi = c2r * c1i - c2i * c1r - (c0i * c1r - c0r * c1i)
+    if n0 < n2:  # the roots of p and of (n2 - n0) z + beta agree on the circle
+        return br * br + bi * bi <= (n2 - n0) ** 2
+    # a vanishing reduction pairs each root r with 1/conj(r): both lie on the
+    # circle, simply, when the derivative's root -c1/(2 c2) lies inside it
+    return n0 == n2 and br == bi == 0 and n1 < 4 * n2
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .analysis import (
     amplification_factor,
     lemma1_check,
     observed_order,
+    root_condition,
     y_truncation_study,
 )
 from .errors import FronfixError, ValidationError
@@ -164,15 +165,18 @@ def _cmd_stability(cfg: dict) -> int:
     bs = [k * math.pi / g.dy / n_b for k in range(1, n_b + 1)]
     rows = []
     worst = 0.0
+    stable = True
     for alpha in alphas:
         p = ModelParams(p_base.r, p_base.sigma, p_base.E, p_base.T, alpha)
         for b in bs:
             lam = amplification_factor(p, g, b)
             worst = max(worst, lam)
+            # decided exactly: a |lambda| that rounds to 1 may still be stable
+            stable = stable and root_condition(p, g, b)
             rows.append((fmt(alpha), fmt(b), fmt(lam)))
     write_rows(_out_dir(cfg) / "stability.csv", "alpha,b,lambda", rows)
-    print(f"max |lambda| over scan: {worst:.6f} ({'stable' if worst < 1 else 'UNSTABLE'})")
-    return 0 if worst < 1.0 else 2
+    print(f"max |lambda| over scan: {worst:.6f} ({'stable' if stable else 'UNSTABLE'})")
+    return 0 if stable else 2
 
 
 def _cmd_oracle_compare(cfg: dict) -> int:

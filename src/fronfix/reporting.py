@@ -191,8 +191,8 @@ def emit_surface_csv(run: SolverRun, path: Path) -> None:
     sibling file that replaces `path` only when complete, so a failed write
     leaves no truncated CSV."""
     E, v, nodes, levels = run.params.E, run.surface.v, run.surface.nodes, run.surface.levels
-    # compared as bits, since -0.0 == 0.0 as floats but prints differently
-    reuse = np.array_equal((E * v).view(np.uint64), v.view(np.uint64))
+    # x*1.0 is x, bits and all, so V's fields are v's; any other E formats E*x
+    reuse = E == 1.0
     node_text = [f"{m},{fmt(m * run.grid.dy)}," for m in range(nodes)]
     lw = -(-len(f"{levels - 1},") // 8)  # words of "n,"
     pw = lw + -(-max(map(len, node_text)) // 8)  # words of "n,m,y,"

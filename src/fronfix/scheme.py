@@ -64,9 +64,10 @@ Level solve. The step constants build the full solve's level themselves
 (the converged boundary, and the fallback above): they hand the three constant
 bands as scalars to tridiag.solve_constant_bands, which writes the level
 straight into u[1:-1]. Its right-hand side is
-S - v - (A v[m+1] + B v[m] + C v[m-1]), not F0 - k*dv: the two round
-differently, and a level one ulp off moves the boundary, which the
-Y-truncation acceptance check compares to the last bit.
+(S - v) - (A v[m+1] + B v[m] + C v[m-1]), built from the S - v and B v that
+F0 is built from, not F0 - k*dv: the two round differently, and a level one
+ulp off moves the boundary, which the Y-truncation acceptance check compares
+to the last bit.
 
 Classical mode is decay 0: its sums stay exact zeros, which the right-hand
 side reads like any others, and no history is pushed.
@@ -151,13 +152,12 @@ class StepState:
 
 class _Rows:
     """The parts of the rows fixed by the row weight q and xf_curr: theta,
-    beta, the diagonal B and the drift's denominator."""
+    beta, the diagonal B and the drift's denominator. Plain arithmetic, so an
+    array of xf_curr gives every step's rows at once; callers refuse a zero."""
 
     __slots__ = ("q", "xf_curr", "theta", "beta", "b_diag", "den")
 
-    def __init__(self, p: ModelParams, g: GridSpec, q: float, xf_curr: float):
-        if xf_curr == 0.0:
-            raise ValidationError(["xf_curr must be nonzero"])
+    def __init__(self, p: ModelParams, g: GridSpec, q: float, xf_curr: float | np.ndarray):
         sig2 = p.sigma * p.sigma
         self.q, self.xf_curr = q, xf_curr
         self.theta = q * sig2 / (4.0 * g.dy * g.dy)
@@ -165,7 +165,7 @@ class _Rows:
         self.b_diag = -(q / 2.0) * (sig2 / (g.dy * g.dy) + p.r)
         self.den = 4.0 * g.dy * g.dtau * xf_curr
 
-    def bands(self, x: float) -> tuple[float, float, float]:
+    def bands(self, x: float | np.ndarray) -> tuple:
         """Upper band A, lower band C and the drift for candidate boundary x."""
         drift = self.q * (x - self.xf_curr) / self.den
         return self.theta + self.beta + drift, self.theta - self.beta - drift, drift
@@ -181,23 +181,27 @@ class _StepConstants(_Rows):
     """
 
     __slots__ = (
-        "state", "omega", "g0", "g1", "hist1", "v0", "v1", "v2",
-        "f0", "dv", "f0_max", "dv_max",
+        "omega", "g0", "g1", "hist1", "v0", "v1", "v2", "v_up", "v_down",
+        "hv", "bv", "f0", "dv", "f0_max", "dv_max",
     )
 
     def __init__(self, state: StepState, p: ModelParams, g: GridSpec):
+        if state.xf_curr == 0.0:
+            raise ValidationError(["xf_curr must be nonzero"])
         super().__init__(p, g, state.w.row_weight, state.xf_curr)
-        self.state = state
         v = state.v_curr
         self.omega = self.q / self.den
         self.g1 = -(1.0 + g.dy) - g.dy * g.dy / 2.0
         self.g0 = 1.0 + (g.dy * g.dy / (p.sigma * p.sigma)) * p.r
         # classical mode reads its sums too: they are exact zeros
-        hist = state.sums[1:-1]
-        self.hist1 = float(hist[0])
+        self.hist1 = float(state.sums[1])
         self.v0, self.v1, self.v2 = v[:3].tolist()
-        self.f0 = hist - v[1:-1] - (self.b_diag * v[1:-1] + self.theta * (v[2:] + v[:-2]))
-        self.dv = v[2:] - v[:-2]
+        self.v_up, self.v_down = v[2:], v[:-2]
+        # S - v and B v, shared by F0 and the level's right-hand side
+        self.hv = state.sums[1:-1] - v[1:-1]
+        self.bv = self.b_diag * v[1:-1]
+        self.f0 = self.hv - (self.bv + self.theta * (self.v_up + self.v_down))
+        self.dv = self.v_up - self.v_down
         self.f0_max = float(np.abs(self.f0).max())
         self.dv_max = float(np.abs(self.dv).max())
 
@@ -225,14 +229,12 @@ class _StepConstants(_Rows):
         """The level for boundary x, its interior rows solved straight from
         their constant bands (v[0] = 1 - x, v[M] = 0)."""
         a, c, _ = self.bands(x)
-        b = self.b_diag
-        v = self.state.v_curr
-        u = np.empty(v.size)
+        u = np.empty(self.hv.size + 2)
         u[0] = 1.0 - x
         u[-1] = 0.0
-        rhs = self.state.sums[1:-1] - v[1:-1] - (a * v[2:] + b * v[1:-1] + c * v[:-2])
+        rhs = self.hv - (a * self.v_up + self.bv + c * self.v_down)
         rhs[0] -= c * (1.0 - x)
-        solve_constant_bands(c, b - 1.0, a, rhs, u[1:-1])
+        solve_constant_bands(c, self.b_diag - 1.0, a, rhs, u[1:-1])
         return u
 
     def truncated_node2(self, x: float) -> float | None:

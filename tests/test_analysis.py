@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fronfix.analysis as analysis
 import fronfix.scheme as scheme
 from fronfix.analysis import (
+    AuditViolation,
     amplification_factor,
     lemma1_check,
     monotonicity_audit,
     observed_order,
+    root_condition,
     y_truncation_study,
 )
 from fronfix.cfkernel import cf_weights
@@ -65,6 +68,30 @@ class TestLemma1:
         # B is negative as the scheme is written; recorded, not asserted
         assert np.all(rep.coefficient_signs[:, 1] == -1)
 
+    def test_signs_match_per_step_scalar_rows(self):
+        # one array evaluation of the rows gives each step's scalar rows, bit
+        # for bit; the jumps make the drift flip both off-diagonal signs
+        p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=1.0, alpha=0.7)
+        g, marched, _ = scheme.final_level(p, 20, 5.0, 4.0)
+        q_eff = cf_weights(p.alpha, g.dtau).row_weight
+        for xf in (marched, np.array([1.0, 0.5, 0.9, 0.2, 0.95, -0.3, 0.4])):
+            rep = lemma1_check(p, g, xf)
+            want = []
+            for xf_curr, xf_next in zip(xf[:-1].tolist(), xf[1:].tolist()):
+                rows = scheme._Rows(p, g, q_eff, xf_curr)
+                upper, lower, _ = rows.bands(xf_next)
+                want.append([np.sign(upper), np.sign(rows.b_diag), np.sign(lower)])
+            assert rep.coefficient_signs.tolist() == want
+        for band in (0, 2):  # A and C
+            assert {-1, 1} <= set(rep.coefficient_signs[:, band])
+
+    @pytest.mark.parametrize("xf", [[1.0, 0.9, 0.0], [1.0, 0.0, 0.9], [1.0, math.nan, 0.9]])
+    def test_path_with_no_rows_refused(self, base_params, xf):
+        # a zero boundary has no drift; a nan one gives rows that are no numbers
+        g = build_grid(base_params, M=40, mu=22.0, Y=4.0)
+        with pytest.raises(ValidationError, match="^xf_path "):
+            lemma1_check(base_params, g, np.array(xf))
+
 
 class TestMonotonicityAudit:
     def test_compliant_run_is_clean(self, base_params):
@@ -93,6 +120,19 @@ class TestMonotonicityAudit:
         # the dent also creates local slope violations next to it
         kinds = {viol.kind for viol in rep.violations}
         assert kinds <= {"v_negative", "v_increase_in_m"}
+
+    def test_nonpositive_boundary_flagged(self):
+        # a zero boundary is flagged at distance 0, a negative one at -xf
+        xf = np.array([1.0, 0.0, -0.25])
+        v = np.zeros((3, 3))
+        v[:, 0] = 1.0 - xf
+        rep = monotonicity_audit(make_surface(v, xf))
+        assert rep.violations == (
+            AuditViolation("xf_positivity", 1, 0, 0.0),
+            AuditViolation("xf_positivity", 2, 0, 0.25),
+        )
+        assert rep.max_xf_positivity == 0.25
+        assert (rep.max_xf_increase, rep.max_v_negative, rep.max_v_increase_in_m) == (0.0, 0.0, 0.0)
 
     def test_xf_increase_flagged(self):
         v = np.zeros((3, 4))
@@ -178,7 +218,23 @@ class TestAmplification:
             p = ModelParams(0.1, 0.2, 1.0, 1.0, alpha)
             for k in range(1, 21):
                 worst = max(worst, amplification_factor(p, g, k * math.pi / (20.0 * g.dy)))
+                assert root_condition(p, g, k * math.pi / (20.0 * g.dy))
         assert worst < 1.0
+
+    @pytest.mark.parametrize("ell, rho, stable", [
+        (complex(-0.3, 0.2), 1.0, True),  # roots 1, simple, and 0.27
+        (0.5, 1.0, False),  # a double root at 1
+        (0.7, 1.0, False),  # roots 1 and 2.33
+        (0.0, 0.0, True),  # roots 0 and 1
+        (8.881784197001252e-16, 0.9531337870775047, False),  # 1 + 8.3e-17 and 8.5e-16
+        (1.0, 0.5, False),  # 1 - l = 0 leaves the new level undetermined
+    ])
+    def test_root_condition_is_exact(self, monkeypatch, ell, rho, stable):
+        # the fifth is the symbol at r = 0, b = 0, alpha = 0.6 on the M = 100,
+        # mu = 20 grid: its float l rounds 8.9e-16 above the neutral 0, and
+        # amplification_factor reads 1.0 for a root just outside the circle
+        monkeypatch.setattr(analysis, "_mode_symbol", lambda p, g, b: (complex(ell), rho))
+        assert root_condition(None, None, 0.0) is stable
 
     @pytest.mark.parametrize("alpha", [0.999999, 0.9999549, 1.0])
     def test_orders_at_one_give_a_finite_factor(self, alpha):

@@ -175,6 +175,34 @@ class TestSolveMode:
         summary = json.loads((tmp_path / "a" / "summary.json").read_text())
         assert summary["grid"]["M"] == 40
 
+    @pytest.mark.parametrize("argv, config, message", [
+        (["solve"], [{"M": 40}], "config file must hold a JSON object"),
+        (["solve"], {"M": "abc"}, "M must be numeric, got 'abc'"),
+        (["solve", "--Y", "1,2"], None, "this mode expects a single Y"),
+    ], ids=["config-list", "M-config", "Y-list"])
+    def test_refused_input_exits_one_in_process(
+        self, tmp_path, monkeypatch, capsys, argv, config, message
+    ):
+        # the subprocess tests above see the exit code; this sees the message
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv = argv + ["--config", "cfg.json"]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_denominator_warnings_reach_the_run_and_summary(self, tmp_path, monkeypatch):
+        # no step of the default run warns; a warning threshold above
+        # |Omega2|/scale <= 2 makes every step warn, named by its index
+        assert run_solver(ModelParams(0.1, 0.2, 1.0, 1.0), 20, 10.0).denominator_warnings == ()
+        monkeypatch.setattr(fronfix.scheme, "_DENOM_WARN", 10.0)
+        run = run_solver(ModelParams(0.1, 0.2, 1.0, 1.0), 20, 10.0)
+        assert run.denominator_warnings == tuple(range(run.grid.N))
+        assert run_cli(["solve", "--M", "20", "--mu", "10", "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["denominator_warnings"] == list(range(run.grid.N))
+
     def test_unreadable_config_exits_one(self, tmp_path):
         assert run_cli(["solve", "--config", str(tmp_path / "nope.json")]) == 1
 
@@ -270,10 +298,19 @@ class TestOtherModes:
         assert run_cli(["stability-scan", "--M", "40", flag, "1", "--out", str(out)]) == 1
         assert not out.exists()
 
-    def test_stability_scan_unstable_mode_exits_two(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(fronfix.cli, "amplification_factor", lambda p, g, b: 1.0)
+    def test_stability_scan_unstable_mode_exits_two(self, tmp_path, monkeypatch, capsys):
+        # the verdict is the exact root condition, not |lambda| < 1
+        monkeypatch.setattr(fronfix.cli, "root_condition", lambda p, g, b: False)
         assert run_cli(["stability-scan", "--M", "40", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().out.endswith("(UNSTABLE)\n")
         assert (tmp_path / "stability.csv").exists()
+
+    @pytest.mark.parametrize("mu", ["1e-16", "1e-17"])
+    def test_stability_scan_of_a_lambda_rounding_to_one_is_stable(self, tmp_path, capsys, mu):
+        # |lambda| = 1 - O(dtau) prints as 1.000000; at alpha = 0.3 rho rounds
+        # to exactly 1, so G = 1 is an exact simple root: bounded, not growing
+        assert run_cli(["stability-scan", "--M", "4", "--mu", mu, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == "max |lambda| over scan: 1.000000 (stable)\n"
 
     def test_truncation_study_below_the_perpetual_put_exits_two(self, tmp_path, capsys):
         # the alpha = 0.9 march ends at xf = 3.5e-10, which the study once wrote

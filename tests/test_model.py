@@ -114,6 +114,15 @@ class TestSolutionSurface:
         with pytest.raises(ValidationError):
             SolutionSurface(v=v, xf=np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("v, xf, message", [
+        (np.zeros(3), np.array([1.0, 1.0, 1.0]), "surface shapes are inconsistent"),
+        (np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.5]]), np.array([1.0, 1.0]),
+         "far-field column must be zero"),
+    ], ids=["one-dimensional-v", "nonzero-far-field"])
+    def test_malformed_surface_rejected(self, v, xf, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            SolutionSurface(v=v, xf=xf)
+
     def test_boundary_column_mismatch_rejected(self):
         v = np.zeros((2, 5))
         with pytest.raises(ValidationError):

@@ -85,6 +85,9 @@ class TestBinomial:
             binomial_american_put(base_params, 1.0, 0)
         with pytest.raises(ValidationError):
             binomial_american_put(base_params, -1.0, 100)
+        # one step of a year at r = 5: e^(r dt) = 148 lies far above up = 1.01
+        with pytest.raises(ValidationError, match="tree probability outside"):
+            binomial_american_put(ModelParams(5.0, 0.01, 1.0, 1.0), 1.0, 1)
 
 
 class TestPSOR:
