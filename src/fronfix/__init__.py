@@ -24,7 +24,6 @@ from .errors import (
     DomainError,
     FronfixError,
     NonConvergenceError,
-    SingularPivotError,
     ValidationError,
 )
 from .model import (
@@ -48,6 +47,5 @@ from .scheme import (
     run_solver,
     time_step,
 )
-from .tridiag import solve_constant_bands
 
 __version__ = "0.1.0"

@@ -145,11 +145,10 @@ def _mode_symbol(p: ModelParams, g: GridSpec, b: float) -> tuple[complex, float]
     w = cf_weights(p.alpha, g.dtau)
     rows = _Rows(p, g, w.row_weight, 1.0)
     upper, lower, _ = rows.bands(1.0)
-    ell = complex(
-        rows.b_diag + (upper + lower) * math.cos(b * g.dy),
-        (upper - lower) * math.sin(b * g.dy),
-    )
-    return ell, w.decay
+    cos = math.cos(b * g.dy)
+    # B + A + C is -(q r)/2 exactly, which the float sum misses at r = 0
+    real = -(rows.q * p.r) / 2.0 if cos == 1.0 else rows.b_diag + (upper + lower) * cos
+    return complex(real, (upper - lower) * math.sin(b * g.dy)), w.decay
 
 
 def amplification_factor(p: ModelParams, g: GridSpec, b: float) -> float:

@@ -81,7 +81,8 @@ def cf_weights(alpha: float, dtau: float) -> CFWeights:
         alpha=alpha,
         dtau=dtau,
         decay=math.exp(-expo),
-        row_weight=dtau * alpha / (-math.expm1(-expo)),
+        # alpha*dtau may underflow to 0, where the weight's limit is 1 - alpha
+        row_weight=dtau * alpha / (-math.expm1(-expo)) if expo else 1.0 - alpha,
     )
 
 

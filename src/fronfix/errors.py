@@ -21,15 +21,6 @@ class DomainError(FronfixError, ValueError):
     y_truncation_study refuse."""
 
 
-class SingularPivotError(FronfixError):
-    """Tridiagonal elimination hit a near-zero pivot."""
-
-    def __init__(self, row: int, pivot: float):
-        self.row = row
-        self.pivot = pivot
-        super().__init__(f"singular pivot {pivot:.3e} at row {row}")
-
-
 class DenominatorNearZeroError(FronfixError):
     """Free-boundary update denominator below the safety floor."""
 

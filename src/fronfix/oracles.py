@@ -107,19 +107,9 @@ def binomial_american_put(p: ModelParams, S0: float, steps: int) -> OraclePrice:
     s_up = S0 * up**k  # S0 * up**(level - j) is s_up[level - j]
     down_k = down**k
     values = np.maximum(p.E - s_up[::-1] * down_k, 0.0)
-    scratch = np.empty(steps)
     for level in range(steps - 1, -1, -1):
-        cont = values[: level + 1]
-        tmp = scratch[: level + 1]
-        # disc * (prob * values[:-1] + (1 - prob) * values[1:]), in place
-        np.multiply(1.0 - prob, values[1 : level + 2], out=tmp)
-        np.multiply(prob, cont, out=cont)
-        np.add(cont, tmp, out=cont)
-        np.multiply(disc, cont, out=cont)
-        # maximum(continuation, E - prices)
-        np.multiply(s_up[level::-1], down_k[: level + 1], out=tmp)
-        np.subtract(p.E, tmp, out=tmp)
-        np.maximum(cont, tmp, out=cont)
+        values = np.maximum(disc * (prob * values[:-1] + (1.0 - prob) * values[1:]),
+                            p.E - s_up[level::-1] * down_k[: level + 1])
     return OraclePrice(price=float(values[0]), method="binomial", resolution=steps)
 
 

@@ -8,25 +8,25 @@ bit.
 `surface.csv` is formatted a block of levels at a time by `_g17_fields`, an
 array kernel that gives the bytes of `format(x, ".17g")` for every double:
 
-- Digits. With e = floor(log10|x|) and p = 16 - e, the digits are
-  D = round-half-even(|x| * 10**p). 10**p is held as H + L, two doubles
-  built from exact integers on first use, within 2**-105 * 10**p. |x| * H
+- Digits. With e = floor(log10 x) and p = 16 - e, the digits are
+  D = round-half-even(x * 10**p). 10**p is held as H + L, two doubles
+  built from exact integers on first use, within 2**-105 * 10**p. x * H
   is formed exactly as prod + err by Dekker's two-product on a Veltkamp
   split (Dekker 1971), since numpy has no fused multiply-add. From 2**53 up
-  prod is an integer, so with t = err + |x| * L the integer part of the
+  prod is an integer, so with t = err + x * L the integer part of the
   product is prod + floor(t) and its fraction t - floor(t), together within
-  1e-14 of the exact |x| * 10**p.
+  1e-14 of the exact x * 10**p.
 - Certification. A value is certified when the fraction is not within 1e-6
   of 1/2 and the rounded D lies in [1e16, 1e17). No half-integer then lies
   between the computed and the exact product, so both round to the same D,
   and D has the 17 digits that `format` prints.
-- Fallback. `format` itself writes every other value: nan, +-inf, |x|
-  below 1e-280 (subnormals included), |x| >= 10, near-ties, values whose
-  log10 exponent is off by one (next to powers of ten), and a round-up to
-  10**17. Zeros take their own exact path. On a `run_solver` surface at
-  M=400 one value in 200,901 falls back.
-- Layout. Below 10 there are two, with trailing zeros stripped and "-0"
-  for negative zero. Scientific notation (e < -4, or e = 0 with no
+- Fallback. `format` itself writes every value outside 1e-280 <= x < 10:
+  negatives, +-0, nan, +-inf, subnormals, x >= 10. So do near-ties, values
+  whose log10 exponent is off by one (next to powers of ten), and a
+  round-up to 10**17. A `run_solver` surface at M=400 holds no negative
+  value; its 2672 zeros of 200,901 values and one more fall back.
+- Layout. Below 10 there are two, with trailing zeros stripped.
+  Scientific notation (e < -4, or e = 0 with no
   exponent) is the first digit, a point when a later digit is nonzero, and
   an exponent of at least two digits. Fixed notation below 1 (-4 <= e < 0)
   is "0.", -e - 1 zeros and the digits. A field is 32 bytes with NUL
@@ -112,13 +112,12 @@ def _g17_tables():
         quads[:10000] |= char
         quads[10000:] |= np.where(g % 10 ** (4 - i) == 0, 0, char).astype(np.uint64)
 
-    # per decimal exponent: the head (the sign, then "0." and the zeros of
-    # fixed notation below 1; minus signs in the second half), the point
-    # after the first digit (none below 1), and the exponent of scientific
-    # notation
+    # per decimal exponent: the head ("0." and the zeros of fixed notation
+    # below 1), the point after the first digit (none below 1), and the
+    # exponent of scientific notation
     es = range(_E_MIN, _E_MAX + 1)
     below_one = ["0." + "0" * (-e - 1) if -4 <= e < 0 else "" for e in es]
-    heads = _words(below_one + ["-" + h for h in below_one], 1)[:, 0]
+    heads = _words(below_one, 1)[:, 0]
     points = np.array([0 if h else ord(".") << 56 for h in below_one], np.uint64)
     tails = _words(["" if e >= -4 else f"e{e:+03d}" for e in es], 1)[:, 0]
     return powers, quads, heads, points, tails
@@ -134,9 +133,8 @@ def _g17_fields(x: np.ndarray, out: np.ndarray) -> int:
     NUL, 24-30 the exponent; byte 31 is left to the caller's separator."""
     powers, quads, heads, points, tails = _g17_tables()
     H, H_hi, H_lo, L = powers
-    ax = np.abs(x)
-    fast = (ax >= 1e-280) & (ax < 10)
-    a = np.where(fast, ax, 1.0)
+    fast = (x >= 1e-280) & (x < 10)
+    a = np.where(fast, x, 1.0)
     e = np.floor(np.log10(a)).astype(np.intp)
     ip = (16 - _P_MIN) - e  # the row of p = 16 - e; p = 15 if log10 rounds up to 1 below 10
     c = _VELTKAMP * a
@@ -152,8 +150,7 @@ def _g17_fields(x: np.ndarray, out: np.ndarray) -> int:
     fast &= (D >= 10**16) & (np.abs(t - 0.5) > 1e-6)
     D += t > 0.5
     fast &= D < 10**17  # a round-up to 10**17 falls back too
-    D[~fast] = 0  # zeros print as "0"
-    ie = np.where(fast, e - _E_MIN, -_E_MIN)
+    ie = e - _E_MIN  # a value that falls back reads the row of e = 0 (a = 1)
 
     lead = D // 10**16
     D -= lead * 10**16
@@ -166,13 +163,13 @@ def _g17_fields(x: np.ndarray, out: np.ndarray) -> int:
     z3 = g3 == 0  # the groups after g2 are zero, so g2's trailing zeros strip
     z2 = z3 & (g2 == 0)
     z1 = z2 & (g1 == 0)
-    w0 = heads[ie + len(tails) * np.signbit(x)] | (lead.astype(np.uint64) + 48) << np.uint64(48)
+    w0 = heads[ie] | (lead.astype(np.uint64) + 48) << np.uint64(48)
     out[:, 0] = w0 | points[ie] * (D != 0)  # a point only when a digit follows it
     out[:, 1] = quads[g0 + 10000 * z1] | quads[g1 + 10000 * z2] << np.uint64(32)
     out[:, 2] = quads[g2 + 10000 * z3] | quads[g3 + 10000] << np.uint64(32)
     out[:, 3] = tails[ie]
 
-    slow = np.flatnonzero(~fast & (ax != 0))
+    slow = np.flatnonzero(~fast)
     if slow.size:
         out[slow] = _words([format(xi, ".17g") for xi in x[slow].tolist()], 4)
     return slow.size

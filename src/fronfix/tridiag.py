@@ -1,17 +1,19 @@
-"""Thomas-algorithm solver for tridiagonal systems with constant bands.
+"""The stepper's level solve: the Thomas algorithm on constant bands.
 
 Row i reads lower*x[i-1] + diag*x[i] + upper*x[i+1] = rhs[i], the three bands
-given as scalars, as the stepper's rows are. LU sweep without pivoting; the
-assembled Crank-Nicolson rows are diagonally dominant whenever the coefficient
-signs behave, and a pivot guard converts the degenerate cases into a typed
-error instead of NaNs.
+given as scalars, as the stepper's rows are. LU sweep without pivoting, which
+those rows never need: the diagonal is d = B - 1 <= -1 and the bands are
+A = theta + k and C = theta - k (theta >= 0). Rows with |k| <= theta are
+diagonally dominant by 1 + q*r/2, so every pivot has |piv| >= |d| - |C| >= 1.
+Rows with |k| > theta have A*C < 0, so each pivot piv_i = d - C*A/piv_{i-1}
+is at most d <= -1. Either way no pivot falls below 1 in magnitude.
 
-The pivot recurrence piv_i = d - c*a/piv_{i-1} contracts to its fixed point
-within a dozen or so rows. The solver runs the scalar sweep until the pivot
-has settled, |piv_i - piv_{i-1}| <= 4*eps*|piv_i|*(1 - rate) with
-rate = |c*a|/piv^2 its contraction per row, which leaves it within about
-4*eps*|piv| of the fixed point. The rows after it share that pivot, so both
-sweeps over them are constant-coefficient first-order recurrences,
+The pivot recurrence contracts to its fixed point within a dozen or so rows.
+The solver runs the scalar sweep until the pivot has settled,
+|piv_i - piv_{i-1}| <= 4*eps*|piv_i|*(1 - rate) with rate = |c*a|/piv^2 its
+contraction per row, which leaves it within about 4*eps*|piv| of the fixed
+point. The rows after it share that pivot, so both sweeps over them are
+constant-coefficient first-order recurrences,
 
     y_i = f_i/piv + g*y_{i-1},  g = -c/piv      (forward elimination)
     x_i = y_i + h*x_{i+1},      h = -a/piv      (back substitution)
@@ -22,12 +24,6 @@ tails of at least _MIN_TAIL rows are vectorized, so a system of at most
 _MIN_TAIL + 1 rows gets the plain sweep's bits; a vectorized tail stays within
 a few ulps of them. The head sweep lists only the first _HEAD_PREFIX rows of
 the right-hand side, extending the list only when no tail has settled by then.
-
-Every head pivot is checked row by row, and the tail reuses the settled head
-pivot, which passed the same check, so a singular system raises at the row,
-and with the pivot, the plain sweep would name. The solution has the same
-bits whether or not it overwrites the right-hand side; the stepper relies on
-that, as its boundary iteration and its tests compare levels to the last bit.
 """
 
 from __future__ import annotations
@@ -36,11 +32,8 @@ import math
 
 import numpy as np
 
-from .errors import SingularPivotError, ValidationError
+__all__: list[str] = []  # the stepper's own solve, imported by scheme alone
 
-__all__ = ["solve_constant_bands"]
-
-_PIVOT_FLOOR = 1e-14
 _EPS = math.ulp(1.0)  # double-precision machine epsilon
 # Shortest tail solved vectorized. The vectorized solve costs about as much as
 # 85-90 scalar rows (measured on stepper systems, mu 5-40, n 60-150, on a
@@ -55,23 +48,15 @@ _HEAD_PREFIX = 32
 def solve_constant_bands(
     lower: float, diag: float, upper: float, rhs: np.ndarray, out: np.ndarray
 ) -> None:
-    """Solve the constant-band system into out (which may be rhs itself).
-
-    Row i reads lower*x[i-1] + diag*x[i] + upper*x[i+1] = rhs[i]. Raises
-    SingularPivotError naming the first row whose pivot falls below 1e-14 in
-    magnitude.
-    """
+    """Solve the stepper's n >= 1 rows lower*x[i-1] + diag*x[i] + upper*x[i+1]
+    = rhs[i] into out, an array of rhs's length."""
     n = rhs.size
-    if n < 1 or out.shape != rhs.shape:
-        raise ValidationError(["rhs and out must be vectors of one length >= 1"])
     c, d, a = float(lower), float(diag), float(upper)
     ca = abs(c * a)
     # rows before `last` may end a head that leaves at least _MIN_TAIL rows
     last = n - _MIN_TAIL if n > _MIN_TAIL + 1 else 0
     f = rhs[:_HEAD_PREFIX].tolist() if last else rhs.tolist()
     piv = d
-    if abs(piv) <= _PIVOT_FLOOR:
-        raise SingularPivotError(0, piv)
     cpi = a / piv if n > 1 else 0.0
     dpi = f[0] / piv
     cp = [cpi]
@@ -80,8 +65,6 @@ def solve_constant_bands(
         if i == len(f):
             f += rhs[i:].tolist()
         nxt = d - c * cpi
-        if abs(nxt) <= _PIVOT_FLOOR:
-            raise SingularPivotError(i, nxt)
         cpi = a / nxt if i < n - 1 else 0.0
         dpi = (f[i] - c * dpi) / nxt
         cp.append(cpi)
@@ -91,18 +74,10 @@ def solve_constant_bands(
             _settled_tail(rhs[i + 1 :], c, a, nxt, dpi, out[i + 1 :])
             break
         piv = nxt
-    _back_substitute(cp, dp, out)
-
-
-def _back_substitute(cp: list[float], dp: list[float], out: np.ndarray) -> None:
-    """Write x[:head] of the eliminated head rows into out, head = len(dp).
-
-    out[head], when the system has more rows, already holds the tail's first
-    value.
-    """
+    # back substitution over the head; out[head] holds the tail's first value,
+    # and without a tail cp[n-1] = 0 makes the first pass x[n-1] = dp[n-1]
     head = len(dp)
-    # cp[n-1] is zero, so without a tail the first pass yields x[n-1] = dp[n-1]
-    xi = float(out[head]) if head < out.size else 0.0
+    xi = float(out[head]) if head < n else 0.0
     x = [0.0] * head
     for i in range(head - 1, -1, -1):
         xi = dp[i] - cp[i] * xi
@@ -116,13 +91,13 @@ def _settled_tail(
 ) -> None:
     """Write x for constant-band rows sharing the settled pivot piv into out.
 
-    rhs holds those rows' right-hand side (out may be rhs itself), lower and
-    upper their bands, and dp_prev the eliminated right-hand side of the row
-    before them. Each sweep is a first-order recurrence with a constant
-    multiplier g, run by recursive doubling: after the pass with shift s
-    every entry holds the exact sum of its window of 2s terms, and the terms
-    beyond it carry weight |g|^(2s), so the passes stop once that falls under
-    eps or the window spans the tail.
+    rhs holds those rows' right-hand side, lower and upper their bands, and
+    dp_prev the eliminated right-hand side of the row before them. Each sweep
+    is a first-order recurrence with a constant multiplier g, run by
+    recursive doubling: after the pass with shift s every entry holds the
+    exact sum of its window of 2s terms, and the terms beyond it carry weight
+    |g|^(2s), so the passes stop once that falls under eps or the window
+    spans the tail.
     """
     m = rhs.size
     y = np.divide(rhs, piv, out=out)

@@ -205,7 +205,10 @@ class TestAmplification:
         p = ModelParams(r=0.0, sigma=0.2, E=1.0, T=1.0, alpha=0.6)
         g = self.grid(p)
         for b in (0.0, 2.0 * math.pi / g.dy):  # sin and 1 - cos of b*dy vanish
-            assert amplification_factor(p, g, b) == pytest.approx(1.0, abs=1e-12)
+            # the real part of l is exactly 0: the mode is neutral, not growing
+            assert analysis._mode_symbol(p, g, b)[0].real == 0.0
+            assert amplification_factor(p, g, b) == 1.0
+            assert root_condition(p, g, b)
 
     def test_modulus_below_one_with_positive_rate(self):
         p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=1.0, alpha=0.6)
@@ -230,9 +233,10 @@ class TestAmplification:
         (1.0, 0.5, False),  # 1 - l = 0 leaves the new level undetermined
     ])
     def test_root_condition_is_exact(self, monkeypatch, ell, rho, stable):
-        # the fifth is the symbol at r = 0, b = 0, alpha = 0.6 on the M = 100,
-        # mu = 20 grid: its float l rounds 8.9e-16 above the neutral 0, and
-        # amplification_factor reads 1.0 for a root just outside the circle
+        # the fifth is the float sum B + (A + C) at r = 0, b = 0, alpha = 0.6
+        # on the M = 100, mu = 20 grid, 8.9e-16 above the neutral 0 that
+        # _mode_symbol forms instead; amplification_factor reads 1.0 for its
+        # root just outside the circle
         monkeypatch.setattr(analysis, "_mode_symbol", lambda p, g, b: (complex(ell), rho))
         assert root_condition(None, None, 0.0) is stable
 

@@ -46,6 +46,11 @@ class TestWeights:
             w = cf_weights(alpha, 0.01)
             assert (w.decay, w.row_weight, w.dtau) == (0.0, 0.01 * alpha, 0.01)
 
+    def test_underflowing_exponent_takes_the_limit(self):
+        # alpha*dtau rounds to 0: rho = 1 and q_eff -> 1 - alpha, not 0/0
+        w = cf_weights(5e-324, 0.0625)
+        assert (w.decay, w.row_weight) == (1.0, 1.0)
+
     @pytest.mark.parametrize("alpha", [0.3, 0.9, 0.999, 0.999999, 1.0])
     def test_row_weight_is_q_eff_bit_for_bit(self, alpha):
         # q_eff = dtau*alpha/(1 - rho), formed from expm1 so it stays finite

@@ -131,8 +131,20 @@ class TestG17Kernel:
         run = run_solver(ModelParams(r=0.1, sigma=0.2, E=E, T=1.0), 400, 20.0, 4.0)
         values = np.concatenate([run.surface.v.ravel(), E * run.surface.v.ravel()])
         got, slow = kernel_lines(values)
-        assert slow <= 0.01 * values.size
+        # every zero falls back by design (2672 of the 200,901 values of v);
+        # of the rest, no more than 1% may
+        zeros = int(np.count_nonzero(values == 0.0))
+        assert slow - zeros <= 0.01 * (values.size - zeros)
         assert got == [format(x, ".17g").encode() for x in values.tolist()]
+
+    def test_negatives_and_zeros_take_format(self):
+        rng = np.random.default_rng(12)
+        negatives = [-1e-280, -1.0, -math.nextafter(10.0, 0.0), -5e-324]
+        negatives += (-(10.0 ** rng.uniform(-280, 1, 4000))).tolist()
+        values = [0.0, -0.0] + negatives
+        got, slow = kernel_lines(values)
+        assert slow == len(values)
+        assert got == [format(x, ".17g").encode() for x in values]
 
     def test_importing_the_cli_builds_no_table(self):
         code = ("import fronfix.cli, fronfix.reporting as r; "
