@@ -45,7 +45,11 @@ boundary gets a full solve. With the step's constants fixed, a candidate x
 changes the rows only through k = beta + drift(x) (A = theta + k,
 C = theta - k): the right-hand side is F0 - k*dv, with
 F0 = S - v - (B v + theta (v[m+1] + v[m-1])) and dv = v[m+1] - v[m-1]
-computed once per step, and the first row also gets -C*(1 - x).
+computed once per step, and the first row also gets -C*(1 - x). Each step
+lists as many leading rows of F0 and dv as the last step's candidates read,
+and a candidate whose row cap (below) passes the lists' end extends them, so
+a sweep is float arithmetic on list entries: f0[i] - k*dv[i] on two floats
+has the bits of the array expression.
 
 When the rows are strictly dominant, margin = |B - 1| - |A| - |C| > 0,
 Varah's bound gives |x|_inf <= |f|_inf/margin and every Thomas factor obeys
@@ -60,12 +64,12 @@ dozen rows at M = 800, and the bound on |cp_i| caps it before the sweep
 starts. A candidate whose rows are not strictly dominant, or for which no row
 before the last certifies, takes the full solve instead.
 
-Level solve. The step constants build the full solve's level themselves
-(the converged boundary, and the fallback above): they hand the three constant
-bands as scalars to tridiag.solve_constant_bands, which writes the level
-straight into u[1:-1]. The diagonal B - 1 <= -1 and the signs of A and C keep
-every Thomas pivot at magnitude 1 or more, so that solve checks none. Its
-right-hand side is
+Level solve. _level builds the full solve's level (the converged boundary,
+and the fallback above): it hands the three constant bands as scalars to
+tridiag.solve_constant_bands, which writes the level straight into its
+destination, in run_solver the surface row. The diagonal B - 1 <= -1 and the
+signs of A and C keep every Thomas pivot at magnitude 1 or more, so that
+solve checks none. Its right-hand side is
 (S - v) - (A v[m+1] + B v[m] + C v[m-1]), built from the S - v and B v that
 F0 is built from, not F0 - k*dv: the two round differently, and a level one
 ulp off moves the boundary, which the Y-truncation acceptance check compares
@@ -76,16 +80,20 @@ side reads like any others, and no history is pushed.
 
 State. A StepState is plain data: the level, its boundary, the memory's
 weighted increment sums and the run's CFWeights. Nothing checks a state when
-it is built; time_step checks v[0] = 1 - xf and v[M] = 0 where the state
-enters, and returns a new state without writing into the one it was given.
+it is built; the march checks v[0] = 1 - xf and v[M] = 0 where the state
+enters, and never writes into the state it was given.
 
-March. march(p, g) yields the states from initial_state through the N
-time_steps and keeps none of them. run_solver writes each level into the
-surface; final_level keeps only the level in hand and the (N+1)-float
-boundary path, which is all the studies read. Every price, from a surface or
-from a last level, goes through level_price, and every price or study result
-through _check_boundary_path, which refuses a boundary path that left (0, 1]
-or fell below the perpetual put's boundary.
+March. Every march is one loop, _advance, that owns its constants and
+buffers: it takes the run's constants from one _Rows, forms each step's
+S - v, B v, F0 and dv once, runs each candidate's sweep and boundary update
+on floats, and builds no object per step. run_solver runs it over the N
+steps into the surface rows; final_level runs it over two level buffers and
+keeps only the (N+1)-float boundary path, which is all the studies read;
+time_step(state, p, g) is the loop from state for one level, and march(p, g)
+yields initial_state and the N time_steps, keeping none. Every price, from a
+surface or from a last level, goes through level_price, and every price or
+study result through _check_boundary_path, which refuses a boundary path
+that left (0, 1] or fell below the perpetual put's boundary.
 """
 
 from __future__ import annotations
@@ -155,10 +163,11 @@ class StepState:
 
 class _Rows:
     """The parts of the rows fixed by the row weight q and xf_curr: theta,
-    beta, the diagonal B and the drift's denominator. Plain arithmetic, so an
-    array of xf_curr gives every step's rows at once; callers refuse a zero."""
+    beta, the diagonal B, the drift's denominator and the closure line
+    v[1] = g0 + g1*xf_next. Plain arithmetic, so an array of xf_curr gives
+    every step's rows at once; callers refuse a zero."""
 
-    __slots__ = ("q", "xf_curr", "theta", "beta", "b_diag", "den")
+    __slots__ = ("q", "xf_curr", "theta", "beta", "b_diag", "den", "g0", "g1")
 
     def __init__(self, p: ModelParams, g: GridSpec, q: float, xf_curr: float | np.ndarray):
         sig2 = p.sigma * p.sigma
@@ -167,6 +176,8 @@ class _Rows:
         self.beta = q * (p.r - sig2 / 2.0) / (4.0 * g.dy)
         self.b_diag = -(q / 2.0) * (sig2 / (g.dy * g.dy) + p.r)
         self.den = 4.0 * g.dy * g.dtau * xf_curr
+        self.g1 = -(1.0 + g.dy) - g.dy * g.dy / 2.0
+        self.g0 = 1.0 + (g.dy * g.dy / sig2) * p.r
 
     def bands(self, x: float | np.ndarray) -> tuple:
         """Upper band A, lower band C and the drift for candidate boundary x."""
@@ -174,119 +185,59 @@ class _Rows:
         return self.theta + self.beta + drift, self.theta - self.beta - drift, drift
 
 
-class _StepConstants(_Rows):
-    """What the candidates of one time step share.
+def _sweep(a, c, k, d, c0, f0, dv, f0_max, dv_max, fl, dl) -> float | None:
+    """u[2] of a candidate from the leading rows of the Thomas sweep.
 
-    The row constants (the weights' row weight q_eff), the closure line
-    v[1] = g0 + g1*xf_next and the candidate-free parts F0 and dv of the
-    right-hand side (see the module docstring) are computed once per step, so
-    a candidate costs a short scalar sweep.
+    a, c and d = B - 1 are the candidate's bands, k = beta + drift, and its
+    first row also carries c0 = C*(1 - x). f0 and dv are the step's F0 and dv,
+    f0_max and dv_max their largest magnitudes, and fl and dl lists of their
+    leading rows, extended here when the row cap passes their end. None when
+    the rows are not strictly dominant or no row before the last certifies
+    the truncation.
     """
-
-    __slots__ = (
-        "omega", "g0", "g1", "hist1", "v0", "v1", "v2", "v_up", "v_down",
-        "hv", "bv", "f0", "dv", "f0_max", "dv_max",
-    )
-
-    def __init__(self, state: StepState, p: ModelParams, g: GridSpec):
-        if state.xf_curr == 0.0:
-            raise ValidationError(["xf_curr must be nonzero"])
-        super().__init__(p, g, state.w.row_weight, state.xf_curr)
-        v = state.v_curr
-        self.omega = self.q / self.den
-        self.g1 = -(1.0 + g.dy) - g.dy * g.dy / 2.0
-        self.g0 = 1.0 + (g.dy * g.dy / (p.sigma * p.sigma)) * p.r
-        # classical mode reads its sums too: they are exact zeros
-        self.hist1 = float(state.sums[1])
-        self.v0, self.v1, self.v2 = v[:3].tolist()
-        self.v_up, self.v_down = v[2:], v[:-2]
-        # S - v and B v, shared by F0 and the level's right-hand side
-        self.hv = state.sums[1:-1] - v[1:-1]
-        self.bv = self.b_diag * v[1:-1]
-        self.f0 = self.hv - (self.bv + self.theta * (self.v_up + self.v_down))
-        self.dv = self.v_up - self.v_down
-        self.f0_max = float(np.abs(self.f0).max())
-        self.dv_max = float(np.abs(self.dv).max())
-
-    def omega_parts(self, u0: float, u2: float) -> tuple[float, float, float]:
-        """Numerator, denominator, and denominator scale of the boundary update
-        for a candidate level with u[0] = u0 and u[2] = u2."""
-        theta, beta, omega, b_diag = self.theta, self.beta, self.omega, self.b_diag
-        up_pair = u2 + self.v2
-        low_pair = u0 + self.v0
-        diff = up_pair - low_pair
-        total = up_pair + low_pair
-        omega2 = omega * diff + (b_diag - 1.0) * self.g1
-        omega1 = (
-            self.hist1
-            - theta * total
-            - beta * diff
-            + omega * self.xf_curr * diff
-            - (b_diag - 1.0) * self.g0
-            - (b_diag + 1.0) * self.v1
-        )
-        scale = max(1.0, abs(omega * diff), abs((b_diag - 1.0) * self.g1))
-        return omega1, omega2, scale
-
-    def level(self, x: float) -> np.ndarray:
-        """The level for boundary x, its interior rows solved straight from
-        their constant bands (v[0] = 1 - x, v[M] = 0)."""
-        a, c, _ = self.bands(x)
-        u = np.empty(self.hv.size + 2)
-        u[0] = 1.0 - x
-        u[-1] = 0.0
-        rhs = self.hv - (a * self.v_up + self.bv + c * self.v_down)
-        rhs[0] -= c * (1.0 - x)
-        solve_constant_bands(c, self.b_diag - 1.0, a, rhs, u[1:-1])
-        return u
-
-    def truncated_node2(self, x: float) -> float | None:
-        """u[2] of candidate x from the leading rows of the Thomas sweep.
-
-        None when the rows are not strictly dominant or no row before the
-        last certifies the truncation.
-        """
-        a, c, drift = self.bands(x)
-        k = self.beta + drift
-        d = self.b_diag - 1.0
-        margin = abs(d) - abs(a) - abs(c)
-        n = self.f0.size
-        if not margin > _MARGIN_FLOOR or n < 3:
-            return None
-        f_bound = self.f0_max + abs(k) * self.dv_max + abs(c * (1.0 - x))
-        limit = _UNIT_ROUNDOFF * margin / max(f_bound, margin)
-        # every |cp_i| is at most rate < 1, so rate^K <= limit certifies by
-        # row K; one spare row absorbs the rounding of the running product
-        rate = abs(a) / (abs(d) - abs(c))
-        rows = n - 1
-        if rate > 0.0:
-            rows = min(rows, math.ceil(math.log(limit) / math.log(rate)) + 2)
-        f = (self.f0[:rows] - k * self.dv[:rows]).tolist()
-        cp = a / d
-        dp = (f[0] - c * (1.0 - x)) / d
-        cps = [cp]
-        dps = [dp]
-        shrink = 1.0  # prod cp_i over rows 1..i
-        for i in range(1, rows):
-            piv = d - c * cp
-            cp = a / piv
-            dp = (f[i] - c * dp) / piv
-            shrink *= cp
-            if -limit <= shrink <= limit:
-                xi = dp
-                for j in range(i - 1, 0, -1):
-                    xi = dps[j] - cps[j] * xi
-                return xi
-            cps.append(cp)
-            dps.append(dp)
+    margin = abs(d) - abs(a) - abs(c)
+    n = f0.size
+    if not margin > _MARGIN_FLOOR or n < 3:
         return None
+    f_bound = f0_max + abs(k) * dv_max + abs(c0)
+    limit = _UNIT_ROUNDOFF * margin / max(f_bound, margin)
+    # every |cp_i| is at most rate < 1, so rate^K <= limit certifies by
+    # row K; one spare row absorbs the rounding of the running product
+    rate = abs(a) / (abs(d) - abs(c))
+    rows = n - 1
+    if rate > 0.0:
+        rows = min(rows, math.ceil(math.log(limit) / math.log(rate)) + 2)
+    if len(fl) < rows:
+        fl += f0[len(fl):rows].tolist()
+        dl += dv[len(dl):rows].tolist()
+    cp = a / d
+    dp = (fl[0] - k * dl[0] - c0) / d
+    cps = [cp]
+    dps = [dp]
+    shrink = 1.0  # prod cp_i over rows 1..i
+    for i in range(1, rows):
+        piv = d - c * cp
+        cp = a / piv
+        dp = (fl[i] - k * dl[i] - c * dp) / piv
+        shrink *= cp
+        if -limit <= shrink <= limit:
+            xi = dp
+            for j in range(i - 1, 0, -1):
+                xi = dps[j] - cps[j] * xi
+            return xi
+        cps.append(cp)
+        dps.append(dp)
+    return None
 
-    def node2(self, x: float) -> float:
-        """u[2] of candidate x: the truncated sweep, else the full solve."""
-        u2 = self.truncated_node2(x)
-        if u2 is None:
-            u2 = float(self.level(x)[2])
-        return u2
+
+def _level(u, u0, a, c, c0, d, hv, bv, v_up, v_down) -> None:
+    """Write boundary x's level into u: u[0] = u0 = 1 - x, u[M] = 0 and the
+    interior rows solved straight from the constant bands a, c, d (c0 = c*u0)."""
+    u[0] = u0
+    u[-1] = 0.0
+    rhs = hv - (a * v_up + bv + c * v_down)
+    rhs[0] -= c0
+    solve_constant_bands(c, d, a, rhs, u[1:-1])
 
 
 def initial_state(p: ModelParams, g: GridSpec) -> StepState:
@@ -301,83 +252,139 @@ def initial_state(p: ModelParams, g: GridSpec) -> StepState:
     )
 
 
-def time_step(state: StepState, p: ModelParams, g: GridSpec) -> StepState:
-    """Advance one level: solve the coupled interior/boundary system.
+def _advance(
+    state: StepState, p: ModelParams, g: GridSpec, steps: int, out: np.ndarray | list
+) -> tuple:
+    """March `steps` levels from state: the one loop behind every march.
 
-    The scalar iterate starts at the current boundary, takes one plain
-    fixed-point step, then secant steps on R(x) = Omega1 - x*Omega2 with a
-    bisection safeguard once a sign change is bracketed. Each iterate reads
-    u[2] from a truncated sweep; only the converged boundary gets a full solve.
-    The memory, and with it the order alpha, enters through state.sums and
-    state.w. The state must hold v[0] = 1 - xf and v[M] = 0; it is checked
-    here, once per step, and left unchanged.
+    Level j of this march (j = 1..steps) is written into out[j % len(out)],
+    so out may be the surface, two buffers that alternate, or [one array].
+    Each step starts the scalar iterate at the current boundary, takes one
+    plain fixed-point step, then secant steps on R(x) = Omega1 - x*Omega2
+    with a bisection safeguard once a sign change is bracketed. Each iterate
+    reads u[2] from the truncated sweep; only the converged boundary gets a
+    full solve. Returns the new levels' boundaries, inner iterations and
+    closure residuals, the steps whose denominator warned, the last sums and
+    the last step's smallest |Omega2|.
     """
-    v = state.v_curr
-    if v[0] != 1.0 - state.xf_curr:
+    v, xc, sums, w = state.v_curr, state.xf_curr, state.sums, state.w
+    decay = w.decay
+    if v[0] != 1.0 - xc:
         raise ValidationError(["state must satisfy v[0] = 1 - xf"])
     if v[-1] != 0.0:
         raise ValidationError(["state must satisfy v[M] = 0"])
-    step = _StepConstants(state, p, g)
-    x = state.xf_curr
-    x_prev: float | None = None
-    r_prev = 0.0
-    lo: float | None = None
-    hi: float | None = None
-    warned = False
-    min_abs_den = math.inf
-    xf_next: float | None = None
-    iterations = 0
-
-    for k in range(_MAX_ITER):
-        omega1, omega2, scale = step.omega_parts(1.0 - x, step.node2(x))
-        if abs(omega2) < _DENOM_FLOOR * scale:
-            raise DenominatorNearZeroError(state.n, omega2, _DENOM_FLOOR * scale)
-        if abs(omega2) < _DENOM_WARN * scale:
-            warned = True
-        min_abs_den = min(min_abs_den, abs(omega2))
-        proposal = omega1 / omega2
-        residual = omega1 - x * omega2
-        iterations = k + 1
-        if abs(proposal - x) <= _TOL_XF:
-            xf_next = proposal
-            break
-        if residual > 0.0:
-            lo = x
+    rows = _Rows(p, g, w.row_weight, 1.0)
+    q, theta, beta, b = rows.q, rows.theta, rows.beta, rows.b_diag
+    up, low = theta + beta, theta - beta  # A = up + drift, C = low - drift
+    g0, g1, den1, d = rows.g0, rows.g1, rows.den, b - 1.0  # den1 = 4 dy dtau
+    dg0, dg1, b1 = d * g0, d * g1, b + 1.0
+    scale_floor = max(1.0, abs(dg1))
+    sweep, level, push = _sweep, _level, history_push
+    tol, max_iter, floor, warn = _TOL_XF, _MAX_ITER, _DENOM_FLOOR, _DENOM_WARN
+    path, iterations, residuals, warned_steps = [], [], [], []
+    listed = 0  # leading rows of F0 and dv the last step's candidates read
+    for j in range(1, steps + 1):
+        n = state.n + j - 1
+        if xc == 0.0:
+            raise ValidationError(["xf_curr must be nonzero"])
+        u = out[j % len(out)]
+        den = den1 * xc
+        omega = q / den
+        omega_xc = omega * xc
+        # classical mode reads its sums too: they are exact zeros
+        hist1 = float(sums[1])
+        v0, v1, v2 = v[:3].tolist()
+        b1v1 = b1 * v1
+        v_up, v_mid, v_down = v[2:], v[1:-1], v[:-2]
+        # S - v and B v, shared by F0 and the level's right-hand side
+        hv = sums[1:-1] - v_mid
+        bv = b * v_mid
+        f0 = hv - (bv + theta * (v_up + v_down))
+        dv = v_up - v_down
+        f0_max = float(np.abs(f0).max())
+        dv_max = float(np.abs(dv).max())
+        fl, dl = f0[:listed].tolist(), dv[:listed].tolist()
+        x = xc
+        x_prev: float | None = None
+        r_prev = 0.0
+        lo: float | None = None
+        hi: float | None = None
+        warned = False
+        min_abs_den = math.inf
+        for it in range(max_iter):
+            drift = q * (x - xc) / den
+            a, c, u0 = up + drift, low - drift, 1.0 - x
+            c0 = c * u0
+            u2 = sweep(a, c, beta + drift, d, c0, f0, dv, f0_max, dv_max, fl, dl)
+            if u2 is None:
+                level(u, u0, a, c, c0, d, hv, bv, v_up, v_down)
+                u2 = float(u[2])
+            up_pair = u2 + v2
+            low_pair = u0 + v0
+            diff = up_pair - low_pair
+            total = up_pair + low_pair
+            omega_diff = omega * diff
+            omega2 = omega_diff + dg1
+            omega1 = hist1 - theta * total - beta * diff + omega_xc * diff - dg0 - b1v1
+            scale = abs(omega_diff)  # max(1, |omega diff|, |(B - 1) g1|)
+            if not scale > scale_floor:
+                scale = scale_floor
+            abs_den = abs(omega2)
+            if abs_den < floor * scale:
+                raise DenominatorNearZeroError(n, omega2, floor * scale)
+            if abs_den < warn * scale:
+                warned = True
+            if abs_den < min_abs_den:
+                min_abs_den = abs_den
+            proposal = omega1 / omega2
+            residual = omega1 - x * omega2
+            if abs(proposal - x) <= tol:
+                x = proposal
+                break
+            if residual > 0.0:
+                lo = x
+            else:
+                hi = x
+            if x_prev is not None and residual != r_prev:
+                x_new = x - residual * (x - x_prev) / (residual - r_prev)
+            else:
+                # not `proposal` itself: x + (proposal - x) rounds differently
+                x_new = x + (proposal - x)
+            if lo is not None and hi is not None:
+                left, right = (lo, hi) if lo < hi else (hi, lo)
+                if not left < x_new < right:
+                    x_new = 0.5 * (left + right)
+            x_prev, r_prev = x, residual
+            x = x_new
         else:
-            hi = x
-        if x_prev is not None and residual != r_prev:
-            x_new = x - residual * (x - x_prev) / (residual - r_prev)
-        else:
-            # not `proposal` itself: x + (proposal - x) rounds differently
-            x_new = x + (proposal - x)
-        if lo is not None and hi is not None:
-            a, b = (lo, hi) if lo < hi else (hi, lo)
-            if not a < x_new < b:
-                x_new = 0.5 * (a + b)
-        x_prev, r_prev = x, residual
-        x = x_new
-    if xf_next is None:
-        raise NonConvergenceError(
-            state.n, _MAX_ITER, (x_prev if x_prev is not None else x, x)
-        )
+            raise NonConvergenceError(n, max_iter, (x_prev if x_prev is not None else x, x))
+        listed = len(fl)
+        drift = q * (x - xc) / den
+        a, c, u0 = up + drift, low - drift, 1.0 - x
+        level(u, u0, a, c, c * u0, d, hv, bv, v_up, v_down)
+        path.append(x)
+        iterations.append(it + 1)
+        residuals.append(abs(u[1] - (g0 + g1 * x)))
+        if warned:
+            warned_steps.append(n)
+        # with decay 0 (classical) the sums stay zero, so nothing is pushed
+        if decay:
+            sums = push(sums, u, v, w)
+        v, xc = u, x
+    return path, iterations, residuals, warned_steps, sums, min_abs_den
 
-    u = step.level(xf_next)
-    stats = StepStats(
-        iterations=iterations,
-        closure_residual=abs(u[1] - (step.g0 + step.g1 * xf_next)),
-        denominator_warning=warned,
-        min_abs_denominator=min_abs_den,
-    )
-    # with decay 0 (classical) the sums stay zero, so nothing is pushed
-    sums = history_push(state.sums, u, v, state.w) if state.w.decay else state.sums
-    return StepState(
-        v_curr=u,
-        xf_curr=xf_next,
-        sums=sums,
-        w=state.w,
-        n=state.n + 1,
-        stats=stats,
-    )
+
+def time_step(state: StepState, p: ModelParams, g: GridSpec) -> StepState:
+    """Advance one level: the march's loop started from state (see _advance).
+
+    The memory, and with it the order alpha, enters through state.sums and
+    state.w. The state must hold v[0] = 1 - xf and v[M] = 0; it is checked
+    here and left unchanged.
+    """
+    u = np.empty(g.M + 1)
+    path, iterations, residuals, warned, sums, min_abs_den = _advance(state, p, g, 1, [u])
+    stats = StepStats(iterations[0], residuals[0], bool(warned), min_abs_den)
+    return StepState(u, path[0], sums, state.w, state.n + 1, stats)
 
 
 @dataclass(frozen=True)
@@ -418,29 +425,19 @@ def run_solver(p: ModelParams, M: int, mu: float, Y: float | None = None) -> Sol
     Step-level failures propagate as typed errors carrying the step index.
     """
     g = build_grid(p, M, mu, Y)  # validates p as well
-    # each level is written into place, so the march never holds the surface
+    state = initial_state(p, g)
+    # each level is solved into its row, so the march never holds the surface
     # twice (a list of level copies stacked at the end peaks at double)
     v_levels = np.empty((g.N + 1, g.M + 1))
-    xf_path: list[float] = []
-    iterations: list[int] = []
-    residuals: list[float] = []
-    warned_steps: list[int] = []
-    for state in march(p, g):
-        v_levels[state.n] = state.v_curr
-        xf_path.append(state.xf_curr)
-        if state.stats is not None:
-            iterations.append(state.stats.iterations)
-            residuals.append(state.stats.closure_residual)
-            if state.stats.denominator_warning:
-                warned_steps.append(state.n - 1)
-    surface = SolutionSurface(v=v_levels, xf=np.array(xf_path))
+    v_levels[0] = state.v_curr
+    path, iterations, residuals, warned, _, _ = _advance(state, p, g, g.N, v_levels)
     return SolverRun(
-        surface=surface,
+        surface=SolutionSurface(v=v_levels, xf=np.array([state.xf_curr, *path])),
         params=p,
         grid=g,
         iterations=tuple(iterations),
         closure_residuals=tuple(residuals),
-        denominator_warnings=tuple(warned_steps),
+        denominator_warnings=tuple(warned),
     )
 
 
@@ -450,10 +447,10 @@ def final_level(
     """March holding one level: the grid, the boundary path xf[0..N] and the
     last level, for callers that read nothing else of the surface."""
     g = build_grid(p, M, mu, Y)
-    xf = np.empty(g.N + 1)
-    for state in march(p, g):
-        xf[state.n] = state.xf_curr
-    return g, xf, state.v_curr
+    state = initial_state(p, g)
+    out = np.empty((2, g.M + 1))
+    path = _advance(state, p, g, g.N, out)[0]
+    return g, np.array([state.xf_curr, *path]), out[g.N % 2]
 
 
 def price_at(run: SolverRun, S: float) -> float:

@@ -23,7 +23,7 @@ from fronfix.cfkernel import cf_weights
 from fronfix.errors import DomainError, ValidationError
 from fronfix.model import ModelParams, SolutionSurface, build_grid
 from fronfix.cli import run_cli
-from fronfix.scheme import march, price_at, run_solver
+from fronfix.scheme import price_at, run_solver
 
 
 def make_surface(v, xf):
@@ -290,14 +290,16 @@ class TestObservedOrder:
 
 
     def test_base_grid_is_marched_once(self, base_params, monkeypatch):
-        # both families start from (base.M, base.mu); the row is shared
+        # both families start from (base.M, base.mu); the row is shared.
+        # Every march runs scheme._advance, once per grid
         calls = []
+        advance = scheme._advance
 
-        def counting(p, g):
+        def counting(state, p, g, steps, out):
             calls.append((g.M, g.mu))
-            return march(p, g)
+            return advance(state, p, g, steps, out)
 
-        monkeypatch.setattr(scheme, "march", counting)
+        monkeypatch.setattr(scheme, "_advance", counting)
         refinements = 3
         base = build_grid(base_params, M=16, mu=5.0, Y=4.0)
         est = observed_order(base_params, base, refinements=refinements)

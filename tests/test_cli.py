@@ -368,7 +368,7 @@ class TestOtherModes:
         def no_work(*args, **kwargs):
             raise AssertionError("ran before the oracle inputs were checked")
 
-        monkeypatch.setattr(fronfix.scheme, "march", no_work)
+        monkeypatch.setattr(fronfix.scheme, "_advance", no_work)  # every march's loop
         for name in ("binomial_american_put", "psor_american_put"):
             monkeypatch.setattr(fronfix.cli, name, no_work)
         out = tmp_path / "out"

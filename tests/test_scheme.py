@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from fronfix.errors import (
 from fronfix.model import ModelParams, SolutionSurface, build_grid
 from fronfix.scheme import (
     StepState,
-    _StepConstants,
+    _Rows,
     initial_state,
     price_at,
     run_solver,
@@ -37,29 +38,29 @@ def make_setup(p, M=10, mu=2.0, Y=1.0):
 
 
 def step_rows(p, g, w, xf_next, xf_curr):
-    """The stepper's rows (A, B, C), as the step constants build them."""
-    v = np.zeros(g.M + 1)
-    v[0] = 1.0 - xf_curr
-    state = StepState(v_curr=v, xf_curr=xf_curr, sums=np.zeros(g.M + 1), w=w, n=0)
-    step = _StepConstants(state, p, g)
-    upper, lower, _ = step.bands(xf_next)
-    return upper, step.b_diag, lower
+    """The stepper's rows (A, B, C), as the march takes them from _Rows."""
+    rows = _Rows(p, g, w.row_weight, xf_curr)
+    upper, lower, _ = rows.bands(xf_next)
+    return upper, rows.b_diag, lower
 
 
-def level_system(monkeypatch, step, x):
-    """The bands and right-hand side the step constants hand to the solver
-    when they build the level for boundary x."""
-    seen = {}
+def level_systems(monkeypatch, state, p, g):
+    """The bands and right-hand side of every level solve in one time_step
+    from state, and the stepped state. The truncated sweep declines every
+    candidate, so each gets a full solve: the first at x = xf_curr, the last
+    at the converged boundary."""
+    seen = []
     solve = scheme.solve_constant_bands
 
     def capture(lower, diag, upper, rhs, out):
-        seen.update(lower=lower, diag=diag, upper=upper, rhs=rhs.copy())
+        seen.append(dict(lower=lower, diag=diag, upper=upper, rhs=rhs.copy()))
         return solve(lower, diag, upper, rhs, out)
 
-    monkeypatch.setattr(scheme, "solve_constant_bands", capture)
-    step.level(x)
-    monkeypatch.setattr(scheme, "solve_constant_bands", solve)
-    return seen
+    with monkeypatch.context() as m:
+        m.setattr(scheme, "solve_constant_bands", capture)
+        m.setattr(scheme, "_sweep", lambda *args: None)
+        stepped = time_step(state, p, g)
+    return seen, stepped
 
 
 class TestCoefficients:
@@ -126,9 +127,11 @@ class TestCoefficients:
         assert upper == pytest.approx(expected, rel=1e-14)
 
     def test_zero_boundary_rejected(self, base_params):
-        g, w = make_setup(base_params)
-        with pytest.raises(ValidationError):
-            step_rows(base_params, g, w, 1.0, xf_curr=0.0)
+        g, _ = make_setup(base_params)
+        state = initial_state(base_params, g)
+        state.v_curr[0] = 1.0  # v[0] = 1 - xf holds, so only the zero is refused
+        with pytest.raises(ValidationError, match="xf_curr must be nonzero"):
+            time_step(dataclasses.replace(state, xf_curr=0.0), base_params, g)
 
     def test_row_triple_stays_finite_as_alpha_nears_one(self, base_params):
         # q and 1/rho overflow here; the row weight tends to dtau*alpha
@@ -144,13 +147,13 @@ class TestAssemble:
         # all-zero initial level: only the m=1 row carries the boundary term
         p = fractional_params
         g, w = make_setup(p, M=6)
-        step = _StepConstants(initial_state(p, g), p, g)
-        sys = level_system(monkeypatch, step, 1.0)
-        assert np.all(sys["rhs"] == 0.0)
+        systems, stepped = level_systems(monkeypatch, initial_state(p, g), p, g)
+        assert np.all(systems[0]["rhs"] == 0.0)  # the candidate x = xf_curr = 1
 
-        xf_next = 0.9
+        xf_next = stepped.xf_curr
+        assert xf_next < 1.0
         _, _, lower = step_rows(p, g, w, xf_next, 1.0)
-        sys = level_system(monkeypatch, step, xf_next)
+        sys = systems[-1]
         assert sys["rhs"][0] == pytest.approx(-lower * (1.0 - xf_next), rel=1e-14)
         assert np.all(sys["rhs"][1:] == 0.0)
 
@@ -162,21 +165,21 @@ class TestAssemble:
         state = time_step(state0, p, g)  # builds a genuine history
         v = state.v_curr
         xf_c = state.xf_curr
-        xf_n = 0.97 * xf_c
-        a_h, b_h, c_h = step_rows(p, g, w, xf_n, xf_c)
-        sys = level_system(monkeypatch, _StepConstants(state, p, g), xf_n)
-
-        for m in (1, 2, 3):
-            expected = state.sums[m] - v[m] - (
-                a_h * v[m + 1] + b_h * v[m] + c_h * v[m - 1]
-            )
-            if m == 1:
-                expected -= c_h * (1.0 - xf_n)
-            assert sys["rhs"][m - 1] == pytest.approx(expected, rel=1e-13, abs=1e-15)
-        assert sys["rhs"].size == 3
-        assert sys["diag"] == pytest.approx(b_h - 1.0, rel=1e-14)
-        assert sys["upper"] == pytest.approx(a_h, rel=1e-14)
-        assert sys["lower"] == pytest.approx(c_h, rel=1e-14)
+        systems, stepped = level_systems(monkeypatch, state, p, g)
+        # the first candidate (no drift) and the level at the converged boundary
+        for sys, xf_n in ((systems[0], xf_c), (systems[-1], stepped.xf_curr)):
+            a_h, b_h, c_h = step_rows(p, g, w, xf_n, xf_c)
+            for m in (1, 2, 3):
+                expected = state.sums[m] - v[m] - (
+                    a_h * v[m + 1] + b_h * v[m] + c_h * v[m - 1]
+                )
+                if m == 1:
+                    expected -= c_h * (1.0 - xf_n)
+                assert sys["rhs"][m - 1] == pytest.approx(expected, rel=1e-13, abs=1e-15)
+            assert sys["rhs"].size == 3
+            assert sys["diag"] == pytest.approx(b_h - 1.0, rel=1e-14)
+            assert sys["upper"] == pytest.approx(a_h, rel=1e-14)
+            assert sys["lower"] == pytest.approx(c_h, rel=1e-14)
 
 
 class TestBoundaryClosure:
@@ -184,31 +187,60 @@ class TestBoundaryClosure:
         # v1 = 1 - (1+dy)x + (dy^2/sigma^2)(r - sigma^2 x/2)
         p = base_params
         g, _ = make_setup(p, M=100, mu=20.0, Y=4.0)
-        step = _StepConstants(initial_state(p, g), p, g)
+        rows = _Rows(p, g, g.dtau, 1.0)
         for x in (1.0, 0.95, 0.8):
             expected = 1.0 - (1.0 + g.dy) * x + (g.dy**2 / p.sigma**2) * (
                 p.r - p.sigma**2 * x / 2.0
             )
-            assert step.g0 + step.g1 * x == pytest.approx(expected, rel=1e-14)
+            assert rows.g0 + rows.g1 * x == pytest.approx(expected, rel=1e-14)
 
     def test_closure_consistent_with_perpetual_profile(self):
         # for the infinite-horizon put the boundary relation is exact:
         # v(y) = e^(-gamma*y)/(gamma+1), X_f = gamma/(gamma+1), gamma = 2r/sigma^2
         p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=1.0)
         g, _ = make_setup(p, M=400, mu=20.0, Y=4.0)
-        step = _StepConstants(initial_state(p, g), p, g)
+        rows = _Rows(p, g, g.dtau, 1.0)
         gamma = 2.0 * p.r / p.sigma**2
         xf_inf = gamma / (gamma + 1.0)
         v1_true = math.exp(-gamma * g.dy) / (gamma + 1.0) * (1.0 + 0.0)
-        v1_closure = step.g0 + step.g1 * xf_inf
+        v1_closure = rows.g0 + rows.g1 * xf_inf
         # second-order agreement in dy
         assert v1_closure == pytest.approx(v1_true, abs=5.0 * g.dy**3 + 1e-6)
 
 
+def omega_parts(state, p, g, u0, u2):
+    """Omega1 and Omega2 of the boundary update for a candidate level with
+    u[0] = u0 and u[2] = u2, from the row and closure definitions."""
+    qe, xf, v = state.w.row_weight, state.xf_curr, state.v_curr
+    theta = qe * p.sigma**2 / (4 * g.dy**2)
+    beta = qe * (p.r - p.sigma**2 / 2) / (4 * g.dy)
+    omega = qe / (4 * g.dy * g.dtau * xf)
+    b_v = -(qe / 2) * (p.sigma**2 / g.dy**2 + p.r)
+    g1_v = -(1.0 + g.dy) - g.dy**2 / 2
+    g0_v = 1.0 + (g.dy**2 / p.sigma**2) * p.r
+    diff = (u2 + v[2]) - (u0 + v[0])
+    total = (u2 + v[2]) + (u0 + v[0])
+    om2 = omega * diff + (b_v - 1.0) * g1_v
+    om1 = (state.sums[1] - theta * total - beta * diff + omega * xf * diff
+           - (b_v - 1.0) * g0_v - (b_v + 1.0) * v[1])
+    return om1, om2
+
+
+def first_proposal(state, p, g, u2=None):
+    """The stepper's first boundary proposal Omega1/Omega2 from state: its
+    candidate x = xf_curr, with u[2] taken from the sweep or given as u2."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(scheme, "_TOL_XF", math.inf)
+        if u2 is not None:
+            m.setattr(scheme, "_sweep", lambda *args: u2)
+        return time_step(state, p, g).xf_curr
+
+
 def boundary_update(state, u, p, g):
-    """The boundary update Omega1/Omega2 for a candidate level u."""
-    om1, om2, _ = _StepConstants(state, p, g).omega_parts(u[0], u[2])
-    return om1 / om2
+    """The stepper's boundary update Omega1/Omega2 for a candidate level u,
+    which holds u[0] = 1 - xf_curr as every first candidate does."""
+    assert u[0] == 1.0 - state.xf_curr
+    return first_proposal(state, p, g, float(u[2]))
 
 
 class TestFreeBoundaryUpdate:
@@ -219,7 +251,7 @@ class TestFreeBoundaryUpdate:
         state = time_step(initial_state(p, g), p, g)
         u = state.v_curr.copy()  # any plausible iterate
 
-        om1, om2, _ = _StepConstants(state, p, g).omega_parts(u[0], u[2])
+        om1, om2 = omega_parts(state, p, g, u[0], u[2])
         # shift the stored history sum at node 1 to force om1 == om2
         sums = state.sums.copy()
         sums[1] += om2 - om1
@@ -272,28 +304,32 @@ class TestFreeBoundaryUpdate:
         assert best.real == pytest.approx(xf_star, rel=1e-10)
 
     def test_initial_state_update_has_closed_form(self, base_params):
-        # with zero history and xf = 1 the update reduces to a hand-evaluable
-        # expression in the candidate level values
+        # with zero history and a level that is zero past node 0 the update
+        # reduces to a hand-evaluable expression in the candidate level values;
+        # the march's candidates hold u[0] = 1 - x, so the initial state's
+        # boundary moves to the candidate x = 0.93
         p = base_params
         g, _ = make_setup(p, M=8, mu=2.0, Y=1.0)
-        state = initial_state(p, g)
+        x_it = 0.93
+        v = np.zeros(g.M + 1)
+        v[0] = 1.0 - x_it
+        state = dataclasses.replace(initial_state(p, g), v_curr=v, xf_curr=x_it)
         rng = np.random.default_rng(17)
         u = np.zeros(g.M + 1)
-        x_it = 0.93
         u[0] = 1.0 - x_it
         u[1:-1] = rng.uniform(0.0, 0.1, g.M - 1)
 
         qe = g.dtau
         theta = qe * p.sigma**2 / (4 * g.dy**2)
         beta = qe * (p.r - p.sigma**2 / 2) / (4 * g.dy)
-        omega = qe / (4 * g.dy * g.dtau * 1.0)
+        omega = qe / (4 * g.dy * g.dtau * x_it)
         b_v = -(qe / 2) * (p.sigma**2 / g.dy**2 + p.r)
         g1_v = -(1.0 + g.dy) - g.dy**2 / 2
         g0_v = 1.0 + (g.dy**2 / p.sigma**2) * p.r
-        diff = u[2] - u[0]
-        total = u[2] + u[0]
+        diff = u[2] - (u[0] + v[0])
+        total = u[2] + (u[0] + v[0])
         om2 = omega * diff + (b_v - 1.0) * g1_v
-        om1 = -theta * total - beta * diff + omega * diff - (b_v - 1.0) * g0_v
+        om1 = -theta * total - beta * diff + omega * x_it * diff - (b_v - 1.0) * g0_v
         expected = om1 / om2
 
         got = boundary_update(state, u, p, g)
@@ -310,7 +346,7 @@ class TestFreeBoundaryUpdate:
         g1_v = -(1.0 + g.dy) - g.dy**2 / 2
         omega_v = qe / (4 * g.dy * g.dtau * state.xf_curr)
         target_diff = -(b_v - 1.0) * g1_v / omega_v
-        monkeypatch.setattr(_StepConstants, "node2", lambda self, x: target_diff)
+        monkeypatch.setattr(scheme, "_sweep", lambda *args: target_diff)
         with pytest.raises(DenominatorNearZeroError) as err:
             time_step(state, p, g)
         assert err.value.step == 0
@@ -353,17 +389,18 @@ class TestTimeStep:
             return dataclasses.replace(state, sums=sums)
 
         # the history shift feeds the interior solve too, so settle it
-        # self-consistently before handing the state to the stepper
-        shift = 0.0
+        # self-consistently, by secant steps on the first proposal's miss,
+        # before handing the state to the stepper
+        def miss(shift):
+            return first_proposal(with_shift(shift), p, g) - state.xf_curr
+
+        shift, prev, m_prev = 0.0, 1e-3, miss(1e-3)
         for _ in range(60):
-            frozen = with_shift(shift)
-            step = _StepConstants(frozen, p, g)
-            u = step.level(state.xf_curr)
-            om1, om2, _ = step.omega_parts(u[0], u[2])
-            miss = state.xf_curr * om2 - om1
-            if abs(om1 / om2 - state.xf_curr) < 1e-13:
+            m = miss(shift)
+            if abs(m) < 1e-13:
                 break
-            shift += miss
+            shift, prev, m_prev = shift - m * (shift - prev) / (m - m_prev), shift, m
+        frozen = with_shift(shift)
         stepped = time_step(frozen, p, g)
         assert stepped.stats.iterations == 1
         assert stepped.xf_curr == pytest.approx(state.xf_curr, abs=1e-10)
@@ -415,11 +452,6 @@ def synthetic_state(p, g, w, xf, seed):
     return StepState(v_curr=v, xf_curr=xf, sums=sums, w=w, n=3)
 
 
-def row_margin(step, x):
-    upper, lower, _ = step.bands(x)
-    return abs(step.b_diag - 1.0) - abs(upper) - abs(lower)
-
-
 class TestTruncatedSweep:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -436,16 +468,53 @@ class TestTruncatedSweep:
         p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=1.0, alpha=alpha)
         g, w = make_setup(p, M=M, mu=mu, Y=4.0)
         state = synthetic_state(p, g, w, xf, seed)
-        step = _StepConstants(state, p, g)
         x = xf + delta
-        full = step.level(x)[2]
-        truncated = step.truncated_node2(x)
-        if row_margin(step, x) <= 0.0:
+        # the step's parts and candidate x's rows, as the module docstring defines them
+        v, sums = state.v_curr, state.sums
+        rows = _Rows(p, g, w.row_weight, xf)
+        a, c, drift = rows.bands(x)
+        d, k, c0 = rows.b_diag - 1.0, rows.beta + drift, c * (1.0 - x)
+        hv, bv = sums[1:-1] - v[1:-1], rows.b_diag * v[1:-1]
+        f0, dv = hv - (bv + rows.theta * (v[2:] + v[:-2])), v[2:] - v[:-2]
+        u = np.empty(g.M + 1)
+        scheme._level(u, 1.0 - x, a, c, c0, d, hv, bv, v[2:], v[:-2])
+        full = u[2]
+        parts = (a, c, k, d, c0, f0, dv, np.abs(f0).max(), np.abs(dv).max())
+        truncated = scheme._sweep(*parts, [], [])
+        if abs(d) - abs(a) - abs(c) <= 0.0:
             assert truncated is None
         if truncated is None:
-            assert step.node2(x) == full
+            # a candidate the sweep declines gets the full solve: one for each
+            # declined candidate of a step, and one for the level
+            assert self.declined_and_solved(state, p, g)
         else:
             assert abs(truncated - full) <= 1e-14 * max(1.0, abs(full))
+            # lists already holding some leading rows are extended, not re-read
+            assert scheme._sweep(*parts, f0[:2].tolist(), dv[:2].tolist()) == truncated
+
+    @staticmethod
+    def declined_and_solved(state, p, g):
+        declined, solves = [], []
+        sweep, solve = scheme._sweep, scheme.solve_constant_bands
+
+        def recording(*args):
+            u2 = sweep(*args)
+            declined.append(u2 is None)
+            return u2
+
+        def counting(lower, diag, upper, rhs, out):
+            solves.append(rhs.size)
+            return solve(lower, diag, upper, rhs, out)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(scheme, "_sweep", recording)
+            m.setattr(scheme, "solve_constant_bands", counting)
+            try:
+                time_step(state, p, g)
+                level = 1
+            except FronfixError:
+                level = 0
+        return len(solves) == sum(declined) + level
 
     def test_one_full_solve_per_step(self, base_params, monkeypatch):
         calls = []
@@ -484,6 +553,36 @@ class TestRunSolver:
         run = run_solver(p, 40, 20.0, 4.0)
         assert len(pushes) == (0 if alpha == 1.0 else g.N)
         assert np.array_equal(run.surface.v, np.array(levels))
+
+    def test_fractional_lattice_bits_are_pinned(self):
+        # the 96 runs of study-sweep's fractional lattice: surfaces, boundaries,
+        # inner iterations and closure residuals of the runs that complete,
+        # error class and message of those that fail, hashed, and how many
+        # end each way. Fractional weights take exp and expm1 of finite
+        # arguments, so the digest assumes a libm that rounds them as glibc
+        # does on x86-64 (as TestOutputBytes does for the CLI's files).
+        h = hashlib.sha256()
+        outcomes = Counter()
+        for alpha in (0.5, 0.7, 0.9, 0.95, 0.99, 0.995, 0.999, 0.999999):
+            for M in (50, 100, 150, 200):
+                for mu in (10, 20, 40):
+                    try:
+                        run = run_solver(ModelParams(0.1, 0.2, 1.0, 1.0, alpha), M, mu, 4.0)
+                    except FronfixError as exc:
+                        h.update(f"{type(exc).__name__}: {exc}".encode())
+                        outcomes[type(exc).__name__] += 1
+                        continue
+                    s = run.surface
+                    h.update(s.v.tobytes())
+                    h.update(s.xf.tobytes())
+                    h.update(np.array(run.iterations, dtype=np.int64).tobytes())
+                    h.update(np.array(run.closure_residuals).tobytes())
+                    healthy = np.isfinite(s.v).all() and ((s.xf > 0) & (s.xf <= 1)).all()
+                    outcomes["healthy" if healthy else "unhealthy"] += 1
+        assert outcomes == {"healthy": 49, "unhealthy": 23, "NonConvergenceError": 24}
+        assert h.hexdigest() == (
+            "c65eabdcf5479b0ee584dae658875d7d5fa621bdb27075de808fb9a06849b8ef"
+        )
 
     def test_classical_march_bits_are_pinned(self):
         # surfaces, boundaries, inner iterations and closure residuals of 12
@@ -585,10 +684,10 @@ class TestRunSolver:
                 nxt = time_step(state, p, g)
             except FronfixError:
                 return  # a typed failure ends the march; every step before it was checked
-            step = _StepConstants(state, p, g)
-            a, c, _ = step.bands(nxt.xf_curr)
+            rows = _Rows(p, g, state.w.row_weight, state.xf_curr)
+            a, c, _ = rows.bands(nxt.xf_curr)
             w = nxt.v_curr + state.v_curr
-            rho, b = state.w.decay, step.b_diag
+            rho, b = state.w.decay, rows.b_diag
             lam = a * w[2:] + b * w[1:-1] + c * w[:-2]
             terms = rho * (abs(a) * abs(w[2:]) + abs(b) * abs(w[1:-1]) + abs(c) * abs(w[:-2]))
             gap = np.abs(nxt.sums[1:-1] - rho * lam).max()
@@ -619,20 +718,40 @@ class TestMarch:
         Y=st.sampled_from([1.0, 2.0, 4.0]),
         T=st.floats(0.05, 1.0),
     )
+    # levels of more than 101 interior rows reach the solve's vectorized tail
+    @example(alpha=1.0, M=150, mu=20.0, Y=4.0, T=1.0)
+    @example(alpha=0.99, M=150, mu=20.0, Y=4.0, T=1.0)
+    @example(alpha=1.0, M=400, mu=20.0, Y=4.0, T=1.0)
+    @example(alpha=0.99, M=400, mu=20.0, Y=4.0, T=1.0)
     def test_states_are_run_solvers_bit_for_bit(self, alpha, M, mu, Y, T):
+        # time_step applied N times from initial_state gives march's states,
+        # run_solver's surface and final_level's last level, bit for bit
         p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=T, alpha=alpha)
         g = build_grid(p, M, mu, Y)
         try:
             run = run_solver(p, M, mu, Y)
         except FronfixError as exc:
-            with pytest.raises(type(exc)) as err:
-                list(scheme.march(p, g))
-            assert str(err.value) == str(exc)
+            for entry in (lambda: list(scheme.march(p, g)),
+                          lambda: scheme.final_level(p, M, mu, Y)):
+                with pytest.raises(type(exc)) as err:
+                    entry()
+                assert str(err.value) == str(exc)
             return
+        stepped = [initial_state(p, g)]
+        for _ in range(g.N):
+            stepped.append(time_step(stepped[-1], p, g))
         states = list(scheme.march(p, g))
+        for marched, state in zip(states, stepped, strict=True):
+            assert marched.v_curr.tobytes() == state.v_curr.tobytes()
+            assert marched.sums.tobytes() == state.sums.tobytes()
+            assert (marched.xf_curr, marched.n, marched.stats) == (
+                state.xf_curr, state.n, state.stats)
         assert [state.n for state in states] == list(range(g.N + 1))
         assert np.stack([state.v_curr for state in states]).tobytes() == run.surface.v.tobytes()
         assert np.array([state.xf_curr for state in states]).tobytes() == run.surface.xf.tobytes()
+        grid, xf, v_last = scheme.final_level(p, M, mu, Y)
+        assert grid == g and xf.tobytes() == run.surface.xf.tobytes()
+        assert v_last.tobytes() == states[-1].v_curr.tobytes()
         stats = [state.stats for state in states[1:]]
         assert states[0].stats is None
         assert tuple(s.iterations for s in stats) == run.iterations
