@@ -41,11 +41,8 @@ from .oracles import (
 )
 from .scheme import (
     SolverRun,
-    StepState,
-    initial_state,
     price_at,
     run_solver,
-    time_step,
 )
 
 __version__ = "0.1.0"

@@ -9,9 +9,8 @@ that polynomial's root condition, an observed-order
 harness on nested grids, and a domain-truncation study.
 
 The studies read one price and one boundary per grid, so they march through
-scheme.final_level, which consumes the scheme.march generator holding one
-level and the boundary path: a study's memory is O(M + N) per grid, not the
-O(N*M) of a stored surface.
+scheme.final_level, which holds two level buffers and the boundary path: a
+study's memory is O(M + N) per grid, not the O(N*M) of a stored surface.
 """
 
 from __future__ import annotations

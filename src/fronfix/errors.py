@@ -18,7 +18,8 @@ class ValidationError(FronfixError, ValueError):
 class DomainError(FronfixError, ValueError):
     """A result outside the model's domain: a march whose boundary path left
     (0, 1] or fell below the perpetual put's boundary, which level_price and
-    y_truncation_study refuse."""
+    y_truncation_study refuse, or a spot beyond the truncation bound, which
+    level_price refuses."""
 
 
 class DenominatorNearZeroError(FronfixError):

@@ -78,28 +78,23 @@ to the last bit.
 Classical mode is decay 0: its sums stay exact zeros, which the right-hand
 side reads like any others, and no history is pushed.
 
-State. A StepState is plain data: the level, its boundary, the memory's
-weighted increment sums and the run's CFWeights. Nothing checks a state when
-it is built; the march checks v[0] = 1 - xf and v[M] = 0 where the state
-enters, and never writes into the state it was given.
-
 March. Every march is one loop, _advance, that owns its constants and
 buffers: it takes the run's constants from one _Rows, forms each step's
 S - v, B v, F0 and dv once, runs each candidate's sweep and boundary update
-on floats, and builds no object per step. run_solver runs it over the N
-steps into the surface rows; final_level runs it over two level buffers and
-keeps only the (N+1)-float boundary path, which is all the studies read;
-time_step(state, p, g) is the loop from state for one level, and march(p, g)
-yields initial_state and the N time_steps, keeping none. Every price, from a
-surface or from a last level, goes through level_price, and every price or
-study result through _check_boundary_path, which refuses a boundary path
-that left (0, 1] or fell below the perpetual put's boundary.
+on floats, and builds no object per step. Both entries start it from the
+level at tau = 0 (zeros, the boundary at the strike, an empty memory):
+run_solver runs it over the N steps into the surface rows; final_level runs
+it over two level buffers and keeps only the (N+1)-float boundary path,
+which is all the studies read. Every price, from a surface or from a last
+level, goes through level_price, which refuses a spot beyond the truncation
+bound, and every price or study result through _check_boundary_path, which
+refuses a boundary path that left (0, 1] or fell below the perpetual put's
+boundary.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,12 +115,7 @@ from .model import (
 from .tridiag import solve_constant_bands
 
 __all__ = [
-    "StepState",
-    "StepStats",
     "SolverRun",
-    "initial_state",
-    "time_step",
-    "march",
     "run_solver",
     "final_level",
     "price_at",
@@ -138,27 +128,6 @@ _UNIT_ROUNDOFF = 2.0**-53
 _TOL_XF = 1e-10  # the inner iteration stops once |proposal - x| <= this
 _MAX_ITER = 50
 _MARGIN_FLOOR = 1e-14  # the truncated sweep takes rows dominant by more than this
-
-
-@dataclass(frozen=True)
-class StepStats:
-    iterations: int
-    closure_residual: float
-    denominator_warning: bool
-    min_abs_denominator: float
-
-
-@dataclass(frozen=True)
-class StepState:
-    """Solver state at time level n: the level, its boundary, the memory's
-    weighted increment sums (exact zeros at decay 0) and the run's weights."""
-
-    v_curr: np.ndarray
-    xf_curr: float
-    sums: np.ndarray
-    w: CFWeights
-    n: int
-    stats: StepStats | None = None
 
 
 class _Rows:
@@ -240,22 +209,18 @@ def _level(u, u0, a, c, c0, d, hv, bv, v_up, v_down) -> None:
     solve_constant_bands(c, d, a, rhs, u[1:-1])
 
 
-def initial_state(p: ModelParams, g: GridSpec) -> StepState:
-    """All-zero value field with the boundary at the strike and an empty
-    memory for order p.alpha."""
-    return StepState(
-        v_curr=np.zeros(g.M + 1),
-        xf_curr=1.0,
-        sums=np.zeros(g.M + 1),
-        w=cf_weights(p.alpha, g.dtau),
-        n=0,
-    )
-
-
 def _advance(
-    state: StepState, p: ModelParams, g: GridSpec, steps: int, out: np.ndarray | list
+    p: ModelParams,
+    g: GridSpec,
+    v: np.ndarray,
+    xc: float,
+    sums: np.ndarray,
+    w: CFWeights,
+    steps: int,
+    out: np.ndarray | list,
 ) -> tuple:
-    """March `steps` levels from state: the one loop behind every march.
+    """March `steps` levels from level v with boundary xc, memory sums and
+    the run's weights w: the one loop behind every march.
 
     Level j of this march (j = 1..steps) is written into out[j % len(out)],
     so out may be the surface, two buffers that alternate, or [one array].
@@ -263,16 +228,11 @@ def _advance(
     plain fixed-point step, then secant steps on R(x) = Omega1 - x*Omega2
     with a bisection safeguard once a sign change is bracketed. Each iterate
     reads u[2] from the truncated sweep; only the converged boundary gets a
-    full solve. Returns the new levels' boundaries, inner iterations and
-    closure residuals, the steps whose denominator warned, the last sums and
-    the last step's smallest |Omega2|.
+    full solve. Failures name step j - 1. Nothing is written into v or sums.
+    Returns the new levels' boundaries, inner iterations and closure
+    residuals, the steps whose denominator warned and the last sums.
     """
-    v, xc, sums, w = state.v_curr, state.xf_curr, state.sums, state.w
     decay = w.decay
-    if v[0] != 1.0 - xc:
-        raise ValidationError(["state must satisfy v[0] = 1 - xf"])
-    if v[-1] != 0.0:
-        raise ValidationError(["state must satisfy v[M] = 0"])
     rows = _Rows(p, g, w.row_weight, 1.0)
     q, theta, beta, b = rows.q, rows.theta, rows.beta, rows.b_diag
     up, low = theta + beta, theta - beta  # A = up + drift, C = low - drift
@@ -283,11 +243,10 @@ def _advance(
     tol, max_iter, floor, warn = _TOL_XF, _MAX_ITER, _DENOM_FLOOR, _DENOM_WARN
     path, iterations, residuals, warned_steps = [], [], [], []
     listed = 0  # leading rows of F0 and dv the last step's candidates read
-    for j in range(1, steps + 1):
-        n = state.n + j - 1
+    for n in range(steps):  # step n makes level j = n + 1
         if xc == 0.0:
             raise ValidationError(["xf_curr must be nonzero"])
-        u = out[j % len(out)]
+        u = out[(n + 1) % len(out)]
         den = den1 * xc
         omega = q / den
         omega_xc = omega * xc
@@ -310,7 +269,6 @@ def _advance(
         lo: float | None = None
         hi: float | None = None
         warned = False
-        min_abs_den = math.inf
         for it in range(max_iter):
             drift = q * (x - xc) / den
             a, c, u0 = up + drift, low - drift, 1.0 - x
@@ -334,8 +292,6 @@ def _advance(
                 raise DenominatorNearZeroError(n, omega2, floor * scale)
             if abs_den < warn * scale:
                 warned = True
-            if abs_den < min_abs_den:
-                min_abs_den = abs_den
             proposal = omega1 / omega2
             residual = omega1 - x * omega2
             if abs(proposal - x) <= tol:
@@ -371,20 +327,7 @@ def _advance(
         if decay:
             sums = push(sums, u, v, w)
         v, xc = u, x
-    return path, iterations, residuals, warned_steps, sums, min_abs_den
-
-
-def time_step(state: StepState, p: ModelParams, g: GridSpec) -> StepState:
-    """Advance one level: the march's loop started from state (see _advance).
-
-    The memory, and with it the order alpha, enters through state.sums and
-    state.w. The state must hold v[0] = 1 - xf and v[M] = 0; it is checked
-    here and left unchanged.
-    """
-    u = np.empty(g.M + 1)
-    path, iterations, residuals, warned, sums, min_abs_den = _advance(state, p, g, 1, [u])
-    stats = StepStats(iterations[0], residuals[0], bool(warned), min_abs_den)
-    return StepState(u, path[0], sums, state.w, state.n + 1, stats)
+    return path, iterations, residuals, warned_steps, sums
 
 
 @dataclass(frozen=True)
@@ -407,32 +350,21 @@ class SolverRun:
         return max(self.iterations) if self.iterations else 0
 
 
-def march(p: ModelParams, g: GridSpec) -> Iterator[StepState]:
-    """The states of one march: initial_state, then each of the N time_steps.
-
-    Nothing is stored: a caller that keeps only the state in hand holds one
-    level."""
-    state = initial_state(p, g)
-    yield state
-    for _ in range(g.N):
-        state = time_step(state, p, g)
-        yield state
-
-
 def run_solver(p: ModelParams, M: int, mu: float, Y: float | None = None) -> SolverRun:
     """March the scheme over the whole horizon and collect the surface.
 
     Step-level failures propagate as typed errors carrying the step index.
     """
     g = build_grid(p, M, mu, Y)  # validates p as well
-    state = initial_state(p, g)
     # each level is solved into its row, so the march never holds the surface
     # twice (a list of level copies stacked at the end peaks at double)
     v_levels = np.empty((g.N + 1, g.M + 1))
-    v_levels[0] = state.v_curr
-    path, iterations, residuals, warned, _, _ = _advance(state, p, g, g.N, v_levels)
+    v_levels[0] = 0.0
+    path, iterations, residuals, warned, _ = _advance(
+        p, g, v_levels[0], 1.0, np.zeros(g.M + 1), cf_weights(p.alpha, g.dtau), g.N, v_levels
+    )
     return SolverRun(
-        surface=SolutionSurface(v=v_levels, xf=np.array([state.xf_curr, *path])),
+        surface=SolutionSurface(v=v_levels, xf=np.array([1.0, *path])),
         params=p,
         grid=g,
         iterations=tuple(iterations),
@@ -447,10 +379,9 @@ def final_level(
     """March holding one level: the grid, the boundary path xf[0..N] and the
     last level, for callers that read nothing else of the surface."""
     g = build_grid(p, M, mu, Y)
-    state = initial_state(p, g)
-    out = np.empty((2, g.M + 1))
-    path = _advance(state, p, g, g.N, out)[0]
-    return g, np.array([state.xf_curr, *path]), out[g.N % 2]
+    out = np.zeros((2, g.M + 1))
+    path = _advance(p, g, out[0], 1.0, np.zeros(g.M + 1), cf_weights(p.alpha, g.dtau), g.N, out)[0]
+    return g, np.array([1.0, *path]), out[g.N % 2]
 
 
 def price_at(run: SolverRun, S: float) -> float:
@@ -464,9 +395,9 @@ def level_price(
     """Option price at spot S from the boundary path xf and the last level.
 
     Linear interpolation in y within the grid; below the exercise boundary
-    the price is the intrinsic value E - S; beyond the truncation bound the
-    far-field value 0 is used. A boundary path that _check_boundary_path
-    refuses has no price.
+    the price is the intrinsic value E - S. A spot at or beyond the
+    truncation bound Y, where the grid holds only the far-field 0, and a
+    boundary path that _check_boundary_path refuses have no price.
     """
     if not S > 0:  # nan included
         raise ValidationError(["S must be positive"])
@@ -476,7 +407,10 @@ def level_price(
         return p.E - S
     y = math.log(S / boundary_price)
     if y >= g.Y:
-        return 0.0
+        raise DomainError(
+            f"spot S = {S:.6g} lies at y = {y:.6g}, at or beyond the truncation "
+            f"bound Y = {g.Y:.6g}; price undefined"
+        )
     idx = int(y // g.dy)
     idx = min(idx, g.M - 1)
     frac = (y - idx * g.dy) / g.dy

@@ -295,9 +295,9 @@ class TestObservedOrder:
         calls = []
         advance = scheme._advance
 
-        def counting(state, p, g, steps, out):
+        def counting(p, g, *args):
             calls.append((g.M, g.mu))
-            return advance(state, p, g, steps, out)
+            return advance(p, g, *args)
 
         monkeypatch.setattr(scheme, "_advance", counting)
         refinements = 3

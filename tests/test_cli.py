@@ -97,6 +97,17 @@ class TestSolveMode:
         )
         assert not out.exists()
 
+    def test_spot_beyond_the_truncation_bound_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        # at r = 0 the boundary ends at xf = 0.543, so S = E lies at
+        # y = ln(1/0.543) = 0.611, beyond Y = 0.5: this once exited 0 with price 0
+        out = tmp_path / "out"
+        assert run_cli(["solve", "--r", "0", "--Y", "0.5", "--M", "25", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: spot S = 1 lies at y = 0.61065, at or beyond the truncation "
+            "bound Y = 0.5; price undefined\n"
+        )
+        assert not out.exists()
+
     def test_nonpositive_final_boundary_exits_two_and_writes_nothing(
         self, tmp_path, capsys, monkeypatch
     ):

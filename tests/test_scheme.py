@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fronfix.scheme as scheme
-from fronfix.cfkernel import cf_weights, history_push
+from fronfix.cfkernel import CFWeights, cf_weights, history_push
 from fronfix.errors import (
     DenominatorNearZeroError,
     DomainError,
@@ -20,14 +21,7 @@ from fronfix.errors import (
     ValidationError,
 )
 from fronfix.model import ModelParams, SolutionSurface, build_grid
-from fronfix.scheme import (
-    StepState,
-    _Rows,
-    initial_state,
-    price_at,
-    run_solver,
-    time_step,
-)
+from fronfix.scheme import _Rows, price_at, run_solver
 from reference import reference_run
 
 
@@ -37,6 +31,30 @@ def make_setup(p, M=10, mu=2.0, Y=1.0):
     return g, w
 
 
+class Level(NamedTuple):
+    """A level of a march as the loop takes it: values, boundary, memory sums
+    and the run's weights."""
+
+    v: np.ndarray
+    xf: float
+    sums: np.ndarray
+    w: CFWeights
+
+
+def start(p, g):
+    """The level every march starts from: zeros, the boundary at the strike
+    and an empty memory."""
+    return Level(np.zeros(g.M + 1), 1.0, np.zeros(g.M + 1), cf_weights(p.alpha, g.dtau))
+
+
+def step(p, g, level):
+    """The next level by the march's loop, with its inner iterations and
+    closure residual."""
+    u = np.empty(g.M + 1)
+    path, iterations, residuals, _, sums = scheme._advance(p, g, *level, 1, [u])
+    return Level(u, path[0], sums, level.w), iterations[0], residuals[0]
+
+
 def step_rows(p, g, w, xf_next, xf_curr):
     """The stepper's rows (A, B, C), as the march takes them from _Rows."""
     rows = _Rows(p, g, w.row_weight, xf_curr)
@@ -44,9 +62,9 @@ def step_rows(p, g, w, xf_next, xf_curr):
     return upper, rows.b_diag, lower
 
 
-def level_systems(monkeypatch, state, p, g):
-    """The bands and right-hand side of every level solve in one time_step
-    from state, and the stepped state. The truncated sweep declines every
+def level_systems(monkeypatch, level, p, g):
+    """The bands and right-hand side of every level solve in one step from
+    level, and the next level. The truncated sweep declines every
     candidate, so each gets a full solve: the first at x = xf_curr, the last
     at the converged boundary."""
     seen = []
@@ -59,7 +77,7 @@ def level_systems(monkeypatch, state, p, g):
     with monkeypatch.context() as m:
         m.setattr(scheme, "solve_constant_bands", capture)
         m.setattr(scheme, "_sweep", lambda *args: None)
-        stepped = time_step(state, p, g)
+        stepped = step(p, g, level)[0]
     return seen, stepped
 
 
@@ -128,10 +146,10 @@ class TestCoefficients:
 
     def test_zero_boundary_rejected(self, base_params):
         g, _ = make_setup(base_params)
-        state = initial_state(base_params, g)
-        state.v_curr[0] = 1.0  # v[0] = 1 - xf holds, so only the zero is refused
+        level = start(base_params, g)
+        level.v[0] = 1.0  # v[0] = 1 - xf holds, so only the zero is refused
         with pytest.raises(ValidationError, match="xf_curr must be nonzero"):
-            time_step(dataclasses.replace(state, xf_curr=0.0), base_params, g)
+            step(base_params, g, level._replace(xf=0.0))
 
     def test_row_triple_stays_finite_as_alpha_nears_one(self, base_params):
         # q and 1/rho overflow here; the row weight tends to dtau*alpha
@@ -147,10 +165,10 @@ class TestAssemble:
         # all-zero initial level: only the m=1 row carries the boundary term
         p = fractional_params
         g, w = make_setup(p, M=6)
-        systems, stepped = level_systems(monkeypatch, initial_state(p, g), p, g)
+        systems, stepped = level_systems(monkeypatch, start(p, g), p, g)
         assert np.all(systems[0]["rhs"] == 0.0)  # the candidate x = xf_curr = 1
 
-        xf_next = stepped.xf_curr
+        xf_next = stepped.xf
         assert xf_next < 1.0
         _, _, lower = step_rows(p, g, w, xf_next, 1.0)
         sys = systems[-1]
@@ -161,16 +179,15 @@ class TestAssemble:
         # M = 4: three interior rows expanded literally from the scheme row
         p = fractional_params
         g, w = make_setup(p, M=4, mu=1.0, Y=1.0)
-        state0 = initial_state(p, g)
-        state = time_step(state0, p, g)  # builds a genuine history
-        v = state.v_curr
-        xf_c = state.xf_curr
-        systems, stepped = level_systems(monkeypatch, state, p, g)
+        level = step(p, g, start(p, g))[0]  # builds a genuine history
+        v = level.v
+        xf_c = level.xf
+        systems, stepped = level_systems(monkeypatch, level, p, g)
         # the first candidate (no drift) and the level at the converged boundary
-        for sys, xf_n in ((systems[0], xf_c), (systems[-1], stepped.xf_curr)):
+        for sys, xf_n in ((systems[0], xf_c), (systems[-1], stepped.xf)):
             a_h, b_h, c_h = step_rows(p, g, w, xf_n, xf_c)
             for m in (1, 2, 3):
-                expected = state.sums[m] - v[m] - (
+                expected = level.sums[m] - v[m] - (
                     a_h * v[m + 1] + b_h * v[m] + c_h * v[m - 1]
                 )
                 if m == 1:
@@ -208,10 +225,10 @@ class TestBoundaryClosure:
         assert v1_closure == pytest.approx(v1_true, abs=5.0 * g.dy**3 + 1e-6)
 
 
-def omega_parts(state, p, g, u0, u2):
+def omega_parts(level, p, g, u0, u2):
     """Omega1 and Omega2 of the boundary update for a candidate level with
     u[0] = u0 and u[2] = u2, from the row and closure definitions."""
-    qe, xf, v = state.w.row_weight, state.xf_curr, state.v_curr
+    qe, xf, v = level.w.row_weight, level.xf, level.v
     theta = qe * p.sigma**2 / (4 * g.dy**2)
     beta = qe * (p.r - p.sigma**2 / 2) / (4 * g.dy)
     omega = qe / (4 * g.dy * g.dtau * xf)
@@ -221,26 +238,26 @@ def omega_parts(state, p, g, u0, u2):
     diff = (u2 + v[2]) - (u0 + v[0])
     total = (u2 + v[2]) + (u0 + v[0])
     om2 = omega * diff + (b_v - 1.0) * g1_v
-    om1 = (state.sums[1] - theta * total - beta * diff + omega * xf * diff
+    om1 = (level.sums[1] - theta * total - beta * diff + omega * xf * diff
            - (b_v - 1.0) * g0_v - (b_v + 1.0) * v[1])
     return om1, om2
 
 
-def first_proposal(state, p, g, u2=None):
-    """The stepper's first boundary proposal Omega1/Omega2 from state: its
+def first_proposal(level, p, g, u2=None):
+    """The stepper's first boundary proposal Omega1/Omega2 from level: its
     candidate x = xf_curr, with u[2] taken from the sweep or given as u2."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(scheme, "_TOL_XF", math.inf)
         if u2 is not None:
             m.setattr(scheme, "_sweep", lambda *args: u2)
-        return time_step(state, p, g).xf_curr
+        return step(p, g, level)[0].xf
 
 
-def boundary_update(state, u, p, g):
+def boundary_update(level, u, p, g):
     """The stepper's boundary update Omega1/Omega2 for a candidate level u,
     which holds u[0] = 1 - xf_curr as every first candidate does."""
-    assert u[0] == 1.0 - state.xf_curr
-    return first_proposal(state, p, g, float(u[2]))
+    assert u[0] == 1.0 - level.xf
+    return first_proposal(level, p, g, float(u[2]))
 
 
 class TestFreeBoundaryUpdate:
@@ -248,19 +265,18 @@ class TestFreeBoundaryUpdate:
         # doctor the node-1 history so the numerator equals the denominator
         p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=0.5, alpha=0.6)
         g, _ = make_setup(p, M=16, mu=1.0, Y=4.0)
-        state = time_step(initial_state(p, g), p, g)
-        u = state.v_curr.copy()  # any plausible iterate
+        level = step(p, g, start(p, g))[0]
+        u = level.v.copy()  # any plausible iterate
 
-        om1, om2 = omega_parts(state, p, g, u[0], u[2])
+        om1, om2 = omega_parts(level, p, g, u[0], u[2])
         # shift the stored history sum at node 1 to force om1 == om2
-        sums = state.sums.copy()
+        sums = level.sums.copy()
         sums[1] += om2 - om1
-        state2 = dataclasses.replace(state, sums=sums)
-        assert boundary_update(state2, u, p, g) == pytest.approx(1.0, rel=1e-12)
+        assert boundary_update(level._replace(sums=sums), u, p, g) == pytest.approx(1.0, rel=1e-12)
 
     def test_symbolic_elimination_oracle(self, monkeypatch):
         # solve the m=1 row plus the boundary closure for xf symbolically and
-        # compare against the boundary time_step converges to
+        # compare against the boundary the step converges to
         a_s, b_s, th, be, om, xf_c, g0, g1 = sp.symbols(
             "A B theta beta omega xf_curr g0 g1"
         )
@@ -279,24 +295,24 @@ class TestFreeBoundaryUpdate:
 
         p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=0.5, alpha=0.7)
         g, w = make_setup(p, M=10, mu=3.0, Y=2.0)
-        state = time_step(initial_state(p, g), p, g)
+        level = step(p, g, start(p, g))[0]
 
         qe = g.dtau * p.alpha / (1.0 - w.decay)
         theta_v = qe * p.sigma**2 / (4 * g.dy**2)
         beta_v = qe * (p.r - p.sigma**2 / 2) / (4 * g.dy)
-        omega_v = qe / (4 * g.dy * g.dtau * state.xf_curr)
+        omega_v = qe / (4 * g.dy * g.dtau * level.xf)
         b_v = -(qe / 2) * (p.sigma**2 / g.dy**2 + p.r)
         g1_v = -(1.0 + g.dy) - g.dy**2 / 2
         g0_v = 1.0 + (g.dy**2 / p.sigma**2) * p.r
 
         # the stepper's fixed point and its level
         monkeypatch.setattr(scheme, "_TOL_XF", 1e-14)
-        stepped = time_step(state, p, g)
-        xf_star, u = stepped.xf_curr, stepped.v_curr
+        stepped = step(p, g, level)[0]
+        xf_star, u = stepped.xf, stepped.v
         subs = {
-            th: theta_v, be: beta_v, om: omega_v, b_s: b_v, xf_c: state.xf_curr,
-            g0: g0_v, g1: g1_v, u2: u[2], v0: state.v_curr[0], v1: state.v_curr[1],
-            v2: state.v_curr[2], hist1: state.sums[1],
+            th: theta_v, be: beta_v, om: omega_v, b_s: b_v, xf_c: level.xf,
+            g0: g0_v, g1: g1_v, u2: u[2], v0: level.v[0], v1: level.v[1],
+            v2: level.v[2], hist1: level.sums[1],
         }
         roots = [complex(s.subs(subs).evalf()) for s in sol]
         best = min(roots, key=lambda z: abs(z - xf_star))
@@ -306,14 +322,14 @@ class TestFreeBoundaryUpdate:
     def test_initial_state_update_has_closed_form(self, base_params):
         # with zero history and a level that is zero past node 0 the update
         # reduces to a hand-evaluable expression in the candidate level values;
-        # the march's candidates hold u[0] = 1 - x, so the initial state's
+        # the march's candidates hold u[0] = 1 - x, so the starting level's
         # boundary moves to the candidate x = 0.93
         p = base_params
         g, _ = make_setup(p, M=8, mu=2.0, Y=1.0)
         x_it = 0.93
         v = np.zeros(g.M + 1)
         v[0] = 1.0 - x_it
-        state = dataclasses.replace(initial_state(p, g), v_curr=v, xf_curr=x_it)
+        level = start(p, g)._replace(v=v, xf=x_it)
         rng = np.random.default_rng(17)
         u = np.zeros(g.M + 1)
         u[0] = 1.0 - x_it
@@ -332,29 +348,29 @@ class TestFreeBoundaryUpdate:
         om1 = -theta * total - beta * diff + omega * x_it * diff - (b_v - 1.0) * g0_v
         expected = om1 / om2
 
-        got = boundary_update(state, u, p, g)
+        got = boundary_update(level, u, p, g)
         assert got == pytest.approx(expected, rel=1e-14)
 
     def test_denominator_floor_raises(self, base_params, monkeypatch):
         p = base_params
         g, _ = make_setup(p, M=8, mu=2.0, Y=1.0)
-        state = initial_state(p, g)
+        level = start(p, g)
         # hand the stepper a candidate u[2] whose node spread cancels the
         # closure slope term (u[0] = 1 - xf = 0 and v = 0 at the first step)
         qe = g.dtau
         b_v = -(qe / 2) * (p.sigma**2 / g.dy**2 + p.r)
         g1_v = -(1.0 + g.dy) - g.dy**2 / 2
-        omega_v = qe / (4 * g.dy * g.dtau * state.xf_curr)
+        omega_v = qe / (4 * g.dy * g.dtau * level.xf)
         target_diff = -(b_v - 1.0) * g1_v / omega_v
         monkeypatch.setattr(scheme, "_sweep", lambda *args: target_diff)
         with pytest.raises(DenominatorNearZeroError) as err:
-            time_step(state, p, g)
+            step(p, g, level)
         assert err.value.step == 0
         # the floor the error reports is the one the denominator was compared
         # against: doubling _DENOM_FLOOR doubles it, exactly
         monkeypatch.setattr(scheme, "_DENOM_FLOOR", 2 * scheme._DENOM_FLOOR)
         with pytest.raises(DenominatorNearZeroError) as doubled:
-            time_step(state, p, g)
+            step(p, g, level)
         assert doubled.value.floor == 2 * err.value.floor > 0
         for e in (err.value, doubled.value):
             assert f"below floor {e.floor:.3e} at step 0" in str(e)
@@ -364,35 +380,33 @@ class TestTimeStep:
     def test_first_step_completes_below_one(self, base_params, fractional_params):
         for p in (base_params, fractional_params):
             g, _ = make_setup(p, M=50, mu=20.0, Y=4.0)
-            state = time_step(initial_state(p, g), p, g)
-            assert state.n == 1
-            assert 0.0 < state.xf_curr <= 1.0
-            assert state.v_curr[0] == 1.0 - state.xf_curr
-            assert state.v_curr[-1] == 0.0
+            level = step(p, g, start(p, g))[0]
+            assert 0.0 < level.xf <= 1.0
+            assert level.v[0] == 1.0 - level.xf
+            assert level.v[-1] == 0.0
 
     def test_closure_residual_vanishes_at_fixed_point(self, base_params):
         g, _ = make_setup(base_params, M=50, mu=20.0, Y=4.0)
-        state = time_step(initial_state(base_params, g), base_params, g)
-        assert state.stats is not None
-        assert state.stats.closure_residual < 1e-8
+        _, _, residual = step(base_params, g, start(base_params, g))
+        assert residual < 1e-8
 
     def test_frozen_boundary_converges_first_iteration(self):
         # doctor the node-1 history so the first proposal equals the current
         # boundary exactly: the inner loop must exit after one evaluation
         p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=0.5, alpha=0.6)
         g, _ = make_setup(p, M=16, mu=1.0, Y=4.0)
-        state = time_step(initial_state(p, g), p, g)
+        level = step(p, g, start(p, g))[0]
 
         def with_shift(shift: float):
-            sums = state.sums.copy()
+            sums = level.sums.copy()
             sums[1] += shift
-            return dataclasses.replace(state, sums=sums)
+            return level._replace(sums=sums)
 
         # the history shift feeds the interior solve too, so settle it
         # self-consistently, by secant steps on the first proposal's miss,
-        # before handing the state to the stepper
+        # before handing the level to the stepper
         def miss(shift):
-            return first_proposal(with_shift(shift), p, g) - state.xf_curr
+            return first_proposal(with_shift(shift), p, g) - level.xf
 
         shift, prev, m_prev = 0.0, 1e-3, miss(1e-3)
         for _ in range(60):
@@ -401,9 +415,9 @@ class TestTimeStep:
                 break
             shift, prev, m_prev = shift - m * (shift - prev) / (m - m_prev), shift, m
         frozen = with_shift(shift)
-        stepped = time_step(frozen, p, g)
-        assert stepped.stats.iterations == 1
-        assert stepped.xf_curr == pytest.approx(state.xf_curr, abs=1e-10)
+        stepped, iterations, _ = step(p, g, frozen)
+        assert iterations == 1
+        assert stepped.xf == pytest.approx(level.xf, abs=1e-10)
 
     def test_non_convergence_carries_iterates(self, base_params, monkeypatch):
         from fronfix.errors import NonConvergenceError
@@ -412,35 +426,22 @@ class TestTimeStep:
         monkeypatch.setattr(scheme, "_TOL_XF", 1e-16)
         monkeypatch.setattr(scheme, "_MAX_ITER", 3)
         with pytest.raises(NonConvergenceError) as err:
-            time_step(initial_state(base_params, g), base_params, g)
+            step(base_params, g, start(base_params, g))
         assert err.value.step == 0
         assert len(err.value.last_iterates) == 2
-
-    @pytest.mark.parametrize("node, rule", [
-        (0, r"v\[0\] = 1 - xf"),
-        (-1, r"v\[M\] = 0"),
-    ], ids=["value-matching", "far-field"])
-    def test_state_off_its_edges_is_rejected(self, fractional_params, node, rule):
-        p = fractional_params
-        g, w = make_setup(p, M=20, mu=10.0, Y=4.0)
-        state = synthetic_state(p, g, w, 0.9, seed=5)
-        v = state.v_curr.copy()
-        v[node] += 1e-3
-        with pytest.raises(ValidationError, match=rule):
-            time_step(dataclasses.replace(state, v_curr=v), p, g)
 
     def test_fractional_step_leaves_its_input_unchanged(self, fractional_params):
         p = fractional_params
         g, _ = make_setup(p, M=50, mu=20.0, Y=4.0)
-        state = time_step(time_step(initial_state(p, g), p, g), p, g)
-        assert np.any(state.sums != 0.0)
-        v, sums = state.v_curr.tobytes(), state.sums.tobytes()
-        nxt = time_step(state, p, g)
-        assert state.v_curr.tobytes() == v and state.sums.tobytes() == sums
+        level = step(p, g, step(p, g, start(p, g))[0])[0]
+        assert np.any(level.sums != 0.0)
+        v, sums = level.v.tobytes(), level.sums.tobytes()
+        nxt = step(p, g, level)[0]
+        assert level.v.tobytes() == v and level.sums.tobytes() == sums
         assert nxt.sums.tobytes() != sums
 
 
-def synthetic_state(p, g, w, xf, seed):
+def synthetic_level(p, g, w, xf, seed):
     """A plausible level: a decaying profile with noise, and for fractional
     orders a random memory sum."""
     rng = np.random.default_rng(seed)
@@ -449,7 +450,7 @@ def synthetic_state(p, g, w, xf, seed):
     v[0] = 1.0 - xf
     v[-1] = 0.0
     sums = np.zeros(y.size) if p.classical else rng.normal(0.0, 1e-3, y.size)
-    return StepState(v_curr=v, xf_curr=xf, sums=sums, w=w, n=3)
+    return Level(v, xf, sums, w)
 
 
 class TestTruncatedSweep:
@@ -467,10 +468,10 @@ class TestTruncatedSweep:
     def test_node2_matches_full_solve(self, M, mu, alpha, xf, delta, seed):
         p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=1.0, alpha=alpha)
         g, w = make_setup(p, M=M, mu=mu, Y=4.0)
-        state = synthetic_state(p, g, w, xf, seed)
+        level = synthetic_level(p, g, w, xf, seed)
         x = xf + delta
         # the step's parts and candidate x's rows, as the module docstring defines them
-        v, sums = state.v_curr, state.sums
+        v, sums = level.v, level.sums
         rows = _Rows(p, g, w.row_weight, xf)
         a, c, drift = rows.bands(x)
         d, k, c0 = rows.b_diag - 1.0, rows.beta + drift, c * (1.0 - x)
@@ -486,14 +487,14 @@ class TestTruncatedSweep:
         if truncated is None:
             # a candidate the sweep declines gets the full solve: one for each
             # declined candidate of a step, and one for the level
-            assert self.declined_and_solved(state, p, g)
+            assert self.declined_and_solved(level, p, g)
         else:
             assert abs(truncated - full) <= 1e-14 * max(1.0, abs(full))
             # lists already holding some leading rows are extended, not re-read
             assert scheme._sweep(*parts, f0[:2].tolist(), dv[:2].tolist()) == truncated
 
     @staticmethod
-    def declined_and_solved(state, p, g):
+    def declined_and_solved(level, p, g):
         declined, solves = [], []
         sweep, solve = scheme._sweep, scheme.solve_constant_bands
 
@@ -510,11 +511,11 @@ class TestTruncatedSweep:
             m.setattr(scheme, "_sweep", recording)
             m.setattr(scheme, "solve_constant_bands", counting)
             try:
-                time_step(state, p, g)
-                level = 1
+                step(p, g, level)
+                completed = 1
             except FronfixError:
-                level = 0
-        return len(solves) == sum(declined) + level
+                completed = 0
+        return len(solves) == sum(declined) + completed
 
     def test_one_full_solve_per_step(self, base_params, monkeypatch):
         calls = []
@@ -535,13 +536,12 @@ class TestRunSolver:
         p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=1.0, alpha=alpha)
         g, _ = make_setup(p, M=40, mu=20.0, Y=4.0)
         # the levels of a march that pushes on every step, classical ones too
-        state = initial_state(p, g)
-        levels = [state.v_curr]
+        level = start(p, g)
+        levels = [level.v]
         for _ in range(g.N):
-            nxt = time_step(state, p, g)
-            sums = history_push(state.sums, nxt.v_curr, state.v_curr, state.w)
-            state = dataclasses.replace(nxt, sums=sums)
-            levels.append(state.v_curr)
+            nxt = step(p, g, level)[0]
+            level = nxt._replace(sums=history_push(level.sums, nxt.v, level.v, level.w))
+            levels.append(level.v)
         pushes = []
         push = scheme.history_push
 
@@ -678,30 +678,30 @@ class TestRunSolver:
         # w, up to the rounding of the level solve, which scales with the terms
         p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=1.0, alpha=alpha)
         g = build_grid(p, M, mu, 4.0)
-        state = initial_state(p, g)
+        level = start(p, g)
         for _ in range(g.N):
             try:
-                nxt = time_step(state, p, g)
+                nxt = step(p, g, level)[0]
             except FronfixError:
                 return  # a typed failure ends the march; every step before it was checked
-            rows = _Rows(p, g, state.w.row_weight, state.xf_curr)
-            a, c, _ = rows.bands(nxt.xf_curr)
-            w = nxt.v_curr + state.v_curr
-            rho, b = state.w.decay, rows.b_diag
+            rows = _Rows(p, g, level.w.row_weight, level.xf)
+            a, c, _ = rows.bands(nxt.xf)
+            w = nxt.v + level.v
+            rho, b = level.w.decay, rows.b_diag
             lam = a * w[2:] + b * w[1:-1] + c * w[:-2]
             terms = rho * (abs(a) * abs(w[2:]) + abs(b) * abs(w[1:-1]) + abs(c) * abs(w[:-2]))
             gap = np.abs(nxt.sums[1:-1] - rho * lam).max()
             assert gap <= 1e-11 * max(1.0, np.abs(nxt.sums).max(), terms.max())
-            state = nxt
+            level = nxt
 
     def test_surface_levels_are_the_marched_states(self, fractional_params):
         p = fractional_params
         run = run_solver(p, 20, 10.0, 2.0)
         g = run.grid
-        state = initial_state(p, g)
+        level = start(p, g)
         for n in range(1, 4):
-            state = time_step(state, p, g)
-            assert np.array_equal(run.surface.v[n], state.v_curr)
+            level = step(p, g, level)[0]
+            assert np.array_equal(run.surface.v[n], level.v)
         assert run.surface.v.shape == (g.N + 1, g.M + 1)
 
     def test_invalid_params_rejected(self):
@@ -723,42 +723,21 @@ class TestMarch:
     @example(alpha=0.99, M=150, mu=20.0, Y=4.0, T=1.0)
     @example(alpha=1.0, M=400, mu=20.0, Y=4.0, T=1.0)
     @example(alpha=0.99, M=400, mu=20.0, Y=4.0, T=1.0)
-    def test_states_are_run_solvers_bit_for_bit(self, alpha, M, mu, Y, T):
-        # time_step applied N times from initial_state gives march's states,
-        # run_solver's surface and final_level's last level, bit for bit
+    def test_final_level_is_run_solvers_bit_for_bit(self, alpha, M, mu, Y, T):
+        # the two entries to the march give the same grid, boundary path and
+        # last level, bit for bit, or fail with the same error
         p = ModelParams(r=0.1, sigma=0.2, E=1.0, T=T, alpha=alpha)
-        g = build_grid(p, M, mu, Y)
         try:
             run = run_solver(p, M, mu, Y)
         except FronfixError as exc:
-            for entry in (lambda: list(scheme.march(p, g)),
-                          lambda: scheme.final_level(p, M, mu, Y)):
-                with pytest.raises(type(exc)) as err:
-                    entry()
-                assert str(err.value) == str(exc)
+            with pytest.raises(type(exc)) as err:
+                scheme.final_level(p, M, mu, Y)
+            assert str(err.value) == str(exc)
             return
-        stepped = [initial_state(p, g)]
-        for _ in range(g.N):
-            stepped.append(time_step(stepped[-1], p, g))
-        states = list(scheme.march(p, g))
-        for marched, state in zip(states, stepped, strict=True):
-            assert marched.v_curr.tobytes() == state.v_curr.tobytes()
-            assert marched.sums.tobytes() == state.sums.tobytes()
-            assert (marched.xf_curr, marched.n, marched.stats) == (
-                state.xf_curr, state.n, state.stats)
-        assert [state.n for state in states] == list(range(g.N + 1))
-        assert np.stack([state.v_curr for state in states]).tobytes() == run.surface.v.tobytes()
-        assert np.array([state.xf_curr for state in states]).tobytes() == run.surface.xf.tobytes()
         grid, xf, v_last = scheme.final_level(p, M, mu, Y)
-        assert grid == g and xf.tobytes() == run.surface.xf.tobytes()
-        assert v_last.tobytes() == states[-1].v_curr.tobytes()
-        stats = [state.stats for state in states[1:]]
-        assert states[0].stats is None
-        assert tuple(s.iterations for s in stats) == run.iterations
-        residuals = np.array([s.closure_residual for s in stats])
-        assert residuals.tobytes() == np.array(run.closure_residuals).tobytes()
-        warned = tuple(n for n, s in enumerate(stats) if s.denominator_warning)
-        assert warned == run.denominator_warnings
+        assert grid == run.grid
+        assert xf.tobytes() == run.surface.xf.tobytes()
+        assert v_last.tobytes() == run.surface.v[-1].tobytes()
 
     def test_final_level_is_the_surfaces_last_row(self, fractional_params):
         run = run_solver(fractional_params, 30, 20.0, 4.0)
@@ -811,10 +790,13 @@ class TestPricing:
         above = price_at(run, S_star * (1 + 1e-9))
         assert below == pytest.approx(above, abs=1e-5)
 
-    def test_far_field_is_zero(self, base_params):
+    def test_spot_beyond_the_truncation_bound_is_a_domain_error(self, base_params):
+        # the grid holds only the far-field 0 there, which once priced the spot
         run = run_solver(base_params, 20, 10.0, 1.0)
         deep = base_params.E * run.surface.xf[-1] * math.exp(run.grid.Y) * 1.01
-        assert price_at(run, deep) == 0.0
+        with pytest.raises(DomainError, match=r"at or beyond the truncation bound Y = 1;"):
+            price_at(run, deep)
+        assert price_at(run, deep / 1.02) >= 0.0  # just inside the bound still prices
 
     def test_nonpositive_final_boundary_is_a_domain_error(self, base_params):
         # a march that ends at xf <= 0 is a numerical failure, not bad input
